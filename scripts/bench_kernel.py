@@ -530,45 +530,30 @@ def stage_fleet_traffic(num_lanes: int, cycles: int):
     """Per-cycle packed record batches for every lane, built off the clock.
 
     Mirrors the scalar protocol, where fully-constructed ``Packet``
-    objects are staged before the clock starts: here the per-cycle rows
-    are packed into the kernel's ``inject_packed`` form (sorted queue
-    ids + int32 ring records + per-lane flit totals), so the timed
-    region isolates the batched inject + arbitrate kernel.
+    objects are staged before the clock starts: here each cycle's
+    per-lane arrivals are packed by the fleet's own ``pack_arrivals``
+    into the kernel's ``inject_packed`` form (queue ids + int32 ring
+    records + per-lane flit totals), so the timed region isolates the
+    batched inject + arbitrate kernel.
     """
     import numpy as np
+
+    from repro.core.fleet import pack_arrivals
 
     traffics = [
         UniformRandomTraffic(RADIX, load=1.0, seed=FLEET_SEED + lane)
         for lane in range(num_lanes)
     ]
+    flits = np.array(
+        [traffic.factory.num_flits for traffic in traffics], dtype=np.int64
+    )
     staged = []
     for cycle in range(cycles):
-        rows = [
-            (lane, p.src, p.dst, p.num_flits, p.packet_id)
-            for lane, traffic in enumerate(traffics)
-            for p in traffic.packets_for_cycle(cycle)
-        ]
-        if not rows:
-            staged.append(None)
-            continue
-        arr = np.array(rows, dtype=np.int64)
-        if (arr[:, 3:].max() >> 31) or (cycle >> 31):
-            raise OverflowError("fleet ring records are 32-bit")
-        gid = arr[:, 0] * RADIX + arr[:, 1]
-        if not (gid[1:] > gid[:-1]).all():
-            raise AssertionError(
-                "uniform traffic must inject at most one packet per "
-                "source queue per cycle, in scan order"
-            )
-        recs = np.empty((gid.size, 4), dtype=np.int32)
-        recs[:, 0] = arr[:, 2]
-        recs[:, 1] = arr[:, 3]
-        recs[:, 2] = cycle
-        recs[:, 3] = arr[:, 4]
-        lane_flits = np.bincount(
-            arr[:, 0], weights=arr[:, 3], minlength=num_lanes
-        ).astype(np.int64)
-        staged.append((gid, recs, lane_flits))
+        packed = pack_arrivals(
+            RADIX, [traffic.arrivals(cycle) for traffic in traffics],
+            flits, cycle,
+        )
+        staged.append(None if packed is None else packed[:3])
     return staged
 
 

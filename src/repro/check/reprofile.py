@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Dict, List, Optional, Union
 
 from repro.check.fuzz import CaseOutcome, CaseSpec, run_case
+from repro.traffic import TRAFFIC_STREAM
 
 __all__ = [
     "REPRO_FORMAT",
@@ -38,11 +39,13 @@ def repro_payload(
     """The JSON document for one repro file.
 
     ``fleet_lanes`` is recorded (when nonzero) so a failure found by
-    the fleet lane-parity check replays under the same lane count;
-    files from fleet-less campaigns are unchanged byte for byte.
+    the fleet lane-parity check replays under the same lane count.
+    ``traffic_stream`` records the traffic stream the case was drawn
+    under; a file without it predates stream versioning (stream 1).
     """
     payload = {
         "format": REPRO_FORMAT,
+        "traffic_stream": TRAFFIC_STREAM,
         "case": case.to_dict(),
         "outcome": outcome.to_dict(),
         "minimized": bool(minimized),
@@ -117,8 +120,20 @@ def replay_repro(
     ``fleet_lanes=None`` (the default) replays under the lane count
     recorded in the file (0 — no fleet check — for pre-fleet files);
     pass an explicit value to override.
+
+    Raises:
+        ValueError: If the file was recorded under another traffic
+            stream than :data:`repro.traffic.TRAFFIC_STREAM`.
     """
     payload = load_repro(source)
+    stream = payload.get("traffic_stream", 1)
+    if stream != TRAFFIC_STREAM:
+        name = source if isinstance(source, str) else "repro file"
+        raise ValueError(
+            f"{name}: recorded under traffic stream {stream}, but this "
+            f"build draws traffic stream {TRAFFIC_STREAM}; the case's "
+            f"traffic cannot be replayed"
+        )
     case: CaseSpec = payload["case"]
     expected = str(payload["outcome"].get("status", "ok"))
     if fleet_lanes is None:

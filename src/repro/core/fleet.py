@@ -130,6 +130,66 @@ def _group_starts(g_sorted):
     return starts, counts
 
 
+def _check_ports(num_ports: int, srcs, dsts) -> None:
+    """Raise ``ValueError`` on a port outside ``[0, num_ports)``."""
+    for name, ports in (("source", srcs), ("destination", dsts)):
+        if ports.min() < 0 or ports.max() >= num_ports:
+            bad = int(ports[(ports < 0) | (ports >= num_ports)][0])
+            raise ValueError(f"{name} port {bad} out of range")
+
+
+def pack_arrivals(num_ports: int, draws, flits, cycle: int):
+    """Pack one cycle's per-lane traffic arrays into ring records.
+
+    Args:
+        num_ports: Switch radix.
+        draws: One ``(srcs, dsts, first_packet_id)`` per lane — the
+            ``arrivals(cycle)`` of each lane's traffic source.
+        flits: Per-lane packet length, int64 array of shape
+            ``(num_lanes,)``.
+        cycle: Creation cycle stamped on every record.
+
+    Returns:
+        ``None`` when no lane injects, else ``(gid, recs, lane_flits,
+        lane_packets)``: the first three are
+        :meth:`FleetKernel.inject_packed`'s arguments, rows lane-major
+        and in each lane's arrival order (the scalar inject order);
+        ``lane_packets`` counts each lane's packets.
+
+    Raises:
+        ValueError: On an out-of-range port.
+        OverflowError: If a packet id or the cycle reaches ``2**31``.
+    """
+    srcs, dsts, firsts = zip(*draws)
+    lane_packets = np.fromiter(
+        map(len, srcs), dtype=np.int64, count=len(srcs)
+    )
+    total = int(lane_packets.sum())
+    if not total:
+        return None
+    srcs = np.concatenate(srcs)
+    dsts = np.concatenate(dsts)
+    _check_ports(num_ports, srcs, dsts)
+    ends = np.cumsum(lane_packets)
+    first_ids = np.array(firsts, dtype=np.int64)
+    last_id = int((first_ids + lane_packets).max()) - 1
+    if (last_id | cycle | int(flits.max())) >> 31:
+        raise OverflowError(
+            "fleet ring records are 32-bit: num_flits, created and pid "
+            "must lie in [0, 2**31)"
+        )
+    recs = np.empty((total, 4), dtype=np.int32)
+    recs[:, 0] = dsts
+    recs[:, 1] = np.repeat(flits, lane_packets)
+    recs[:, 2] = cycle
+    recs[:, 3] = np.arange(total) + np.repeat(
+        first_ids - (ends - lane_packets), lane_packets
+    )
+    lanes = np.repeat(np.arange(len(lane_packets)), lane_packets)
+    gid = lanes * num_ports + srcs
+    return gid, recs, lane_packets * flits, lane_packets
+
+
 #: Unsigned view dtypes for the fast contiguous last-axis ``any``.
 _ANY_VIEW = (
     {2: np.uint16, 4: np.uint32, 8: np.uint64} if np is not None else {}
@@ -520,12 +580,12 @@ class FleetKernel:
             self.__dict__.pop("inject_packed", None)
 
     def _inject_cycle_perf(
-        self, lanes, srcs, dsts, created, num_flits, pids, _checked=False
+        self, lanes, srcs, dsts, created, num_flits, pids
     ) -> None:
         perf = self._perf
         start = time.perf_counter_ns()
         FleetKernel.inject_cycle(
-            self, lanes, srcs, dsts, created, num_flits, pids, _checked
+            self, lanes, srcs, dsts, created, num_flits, pids
         )
         perf.add("inject", time.perf_counter_ns() - start, len(srcs))
 
@@ -695,15 +755,13 @@ class FleetKernel:
         self._q_cap = new_cap
 
     def inject_cycle(
-        self, lanes, srcs, dsts, created, num_flits, pids, _checked=False
+        self, lanes, srcs, dsts, created, num_flits, pids
     ) -> None:
         """Append a batch of packets across lanes (one cycle's traffic).
 
         All arguments are equal-length integer arrays; rows may arrive
         in any order but rows of one ``(lane, src)`` queue keep their
         relative order, matching per-packet ``inject`` calls.
-        ``_checked=True`` skips port-range validation for callers whose
-        rows already passed traffic-model validation.
 
         Raises:
             ValueError: On an out-of-range source or destination port
@@ -714,106 +772,86 @@ class FleetKernel:
         count = len(srcs)
         if count == 0:
             return
-        N = self.num_ports
-        if not _checked:
-            if srcs.min() < 0 or srcs.max() >= N:
-                bad = int(srcs[(srcs < 0) | (srcs >= N)][0])
-                raise ValueError(f"source port {bad} out of range")
-            if dsts.min() < 0 or dsts.max() >= N:
-                bad = int(dsts[(dsts < 0) | (dsts >= N)][0])
-                raise ValueError(f"destination port {bad} out of range")
+        _check_ports(self.num_ports, srcs, dsts)
         if ((num_flits | created | pids) >> 31).any():
             raise OverflowError(
                 "fleet ring records are 32-bit: num_flits, created and "
                 "pid must lie in [0, 2**31)"
             )
-        gid = lanes * N + srcs
-        unique = True
-        if count > 1 and not (gid[1:] > gid[:-1]).all():
-            unique = False
-            if not (gid[1:] >= gid[:-1]).all():
-                # Row streams from the harness arrive (lane, src)-sorted;
-                # sort stably only when an external caller's batch is not.
-                order = np.argsort(gid, kind="stable")
-                gid = gid[order]
-                lanes = lanes[order]
-                dsts = dsts[order]
-                created = created[order]
-                num_flits = num_flits[order]
-                pids = pids[order]
         recs = np.empty((count, 4), dtype=np.int32)
         recs[:, 0] = dsts
         recs[:, 1] = num_flits
         recs[:, 2] = created
         recs[:, 3] = pids
-        if unique:
-            # Each queue receives at most one packet (the synthetic
-            # traffic models inject at most once per input per cycle),
-            # so no grouping is needed.
-            self._append_sorted(gid, recs, num_flits)
-        else:
-            starts, counts = _group_starts(gid)
-            gb = gid[starts]
-            qlen = self._q_len_f[gb]
-            longest = int((qlen + counts).max())
-            if longest > self._q_cap:
-                self._grow_rings(longest)
-            cap = self._q_cap
-            slots = (
-                np.repeat(self._q_head_f[gb] + qlen, counts)
-                + np.arange(count, dtype=np.int64)
-                - np.repeat(starts, counts)
-            )
-            # head < cap and final length <= cap, so one wrap suffices.
-            slots -= (slots >= cap) * cap
-            self._q_f[gid * cap + slots] = recs
-            we = np.flatnonzero(qlen == 0)
-            if we.size:
-                self._front_f[gb[we]] = recs[starts[we]]
-            self._q_len_f[gb] = qlen + counts
-            self._pending_f[gb] += np.add.reduceat(num_flits, starts)
+        self._append(lanes * self.num_ports + srcs, recs)
         np.add.at(self.lane_occupancy, lanes, num_flits)
-
-    def _append_sorted(self, gid, recs, num_flits) -> None:
-        """Append one record per queue; ``gid`` strictly increasing."""
-        qlen = self._q_len_f[gid]
-        longest = int(qlen.max()) + 1
-        if longest > self._q_cap:
-            self._grow_rings(longest)
-        cap = self._q_cap
-        slots = self._q_head_f[gid] + qlen
-        slots -= (slots >= cap) * cap
-        self._q_f[gid * cap + slots] = recs
-        we = np.flatnonzero(qlen == 0)
-        if we.size:
-            self._front_f[gid[we]] = recs[we]
-        self._q_len_f[gid] = qlen + 1
-        self._pending_f[gid] += num_flits
 
     def inject_packed(self, gid, recs, lane_flits) -> None:
         """Append pre-packed packet records (the batched-driver path).
 
-        The fleet analogue of handing ``inject_many`` a pre-staged
-        ``Packet`` list: packing rows into the ring-record layout is
-        packet *construction* and happens off the kernel's clock.
+        :func:`pack_arrivals` builds the arguments from per-lane traffic
+        arrays; the simulation loop and the fleet benchmark both use it.
 
         Args:
-            gid: Strictly increasing ``lane * num_ports + src`` array —
-                at most one packet per source queue per call, rows
-                pre-sorted (the natural order of a per-cycle traffic
-                scan).
+            gid: ``lane * num_ports + src`` per row.  Rows may come in
+                any order; rows of one queue keep their relative order.
             recs: Matching ``(len(gid), 4)`` int32 record block, columns
                 ``[dst, num_flits, created, packet_id]`` — the ring
                 layout.  Port ranges and the 32-bit value bounds are the
-                caller's contract (`inject_cycle` checks them when
-                packing; :func:`stage_fleet_traffic`-style drivers check
-                at staging time).
+                caller's contract (:func:`pack_arrivals` checks them).
             lane_flits: Per-lane injected-flit totals, shape
                 ``(num_lanes,)``.
         """
         if len(gid):
-            self._append_sorted(gid, recs, recs[:, 1])
+            self._append(gid, recs)
             self.lane_occupancy += lane_flits
+
+    def _append(self, gid, recs) -> None:
+        """Append records to their queues, in row order per queue."""
+        num_flits = recs[:, 1]
+        count = len(gid)
+        if count == 1 or (gid[1:] > gid[:-1]).all():
+            # At most one packet per queue (the common case: synthetic
+            # traffic injects once per input per cycle), rows sorted.
+            qlen = self._q_len_f[gid]
+            longest = int(qlen.max()) + 1
+            if longest > self._q_cap:
+                self._grow_rings(longest)
+            cap = self._q_cap
+            slots = self._q_head_f[gid] + qlen
+            slots -= (slots >= cap) * cap
+            self._q_f[gid * cap + slots] = recs
+            we = np.flatnonzero(qlen == 0)
+            if we.size:
+                self._front_f[gid[we]] = recs[we]
+            self._q_len_f[gid] = qlen + 1
+            self._pending_f[gid] += num_flits
+            return
+        if not (gid[1:] >= gid[:-1]).all():
+            order = np.argsort(gid, kind="stable")
+            gid = gid[order]
+            recs = recs[order]
+            num_flits = recs[:, 1]
+        starts, counts = _group_starts(gid)
+        gb = gid[starts]
+        qlen = self._q_len_f[gb]
+        longest = int((qlen + counts).max())
+        if longest > self._q_cap:
+            self._grow_rings(longest)
+        cap = self._q_cap
+        slots = (
+            np.repeat(self._q_head_f[gb] + qlen, counts)
+            + np.arange(count, dtype=np.int64)
+            - np.repeat(starts, counts)
+        )
+        # head < cap and final length <= cap, so one wrap suffices.
+        slots -= (slots >= cap) * cap
+        self._q_f[gid * cap + slots] = recs
+        we = np.flatnonzero(qlen == 0)
+        if we.size:
+            self._front_f[gb[we]] = recs[starts[we]]
+        self._q_len_f[gb] = qlen + counts
+        self._pending_f[gb] += np.add.reduceat(num_flits, starts)
 
     # ------------------------------------------------------------------
     # One fleet cycle
@@ -1573,9 +1611,13 @@ class FleetSimulation:
     limit), so each lane's :class:`SimulationResult` is bit-identical to a
     scalar run with the same traffic source and fault schedule.
 
-    Traffic stays scalar per lane on purpose: ``SyntheticTraffic``
-    interleaves ``rng.random()`` / ``rng.integers()`` calls per port, so
-    any batched generation would change the RNG stream and break parity.
+    Traffic is read as arrays: each cycle every lane's source returns
+    ``arrivals(cycle)`` and :func:`pack_arrivals` turns the lot into one
+    ``inject_packed`` batch, with no ``Packet`` objects.  The scalar
+    engine's ``packets_for_cycle`` wraps the same ``arrivals`` call, so
+    both kernels read the same draws and lane parity holds by
+    construction.  Sources need ``arrivals`` and a ``factory`` with
+    ``num_flits`` (every :mod:`repro.traffic` source has both).
     """
 
     def __init__(
@@ -1598,6 +1640,10 @@ class FleetSimulation:
         if perf is not None:
             self.kernel.attach_perf(perf)
         self.traffics = list(traffics)
+        self._flits = np.array(
+            [traffic.factory.num_flits for traffic in self.traffics],
+            dtype=np.int64,
+        )
         self.warmup_cycles = warmup_cycles
         self.latency_sample_limit = latency_sample_limit
         self._cycle = 0
@@ -1617,53 +1663,25 @@ class FleetSimulation:
         cycle = self._cycle
         kernel = self.kernel
         if inject:
-            rows = []
-            for lane, traffic in enumerate(self.traffics):
-                for p in traffic.packets_for_cycle(cycle):
-                    rows.append(
-                        (lane, p.src, p.dst, p.num_flits, p.packet_id)
-                    )
-            if rows:
-                arr = np.array(rows, dtype=np.int64)
-                lanes = arr[:, 0]
-                if (
-                    ((arr[:, 3] | arr[:, 4]) >> 31).any()
-                    or (cycle >> 31)
-                ):
-                    raise OverflowError(
-                        "fleet ring records are 32-bit: num_flits, "
-                        "created and pid must lie in [0, 2**31)"
-                    )
+            packed = pack_arrivals(
+                kernel.num_ports,
+                [traffic.arrivals(cycle) for traffic in self.traffics],
+                self._flits, cycle,
+            )
+            if packed is not None:
+                gid, recs, lane_flits, lane_packets = packed
                 tracer = kernel._tracer
                 if tracer is not None:
-                    # Rows are built lane-major with each lane's packets
-                    # in traffic order — the scalar inject order.
+                    # Rows are lane-major, each lane's in arrival order:
+                    # the scalar inject order.
+                    N = kernel.num_ports
                     tracer.append_batch(
-                        cycle, lanes, INJECT, arr[:, 1], arr[:, 2],
-                        arr[:, 3], arr[:, 4],
+                        cycle, gid // N, INJECT, gid % N, recs[:, 0],
+                        recs[:, 1], recs[:, 3],
                     )
-                gid = lanes * kernel.num_ports + arr[:, 1]
-                if len(rows) == 1 or (gid[1:] > gid[:-1]).all():
-                    recs = np.empty((len(rows), 4), dtype=np.int32)
-                    recs[:, 0] = arr[:, 2]
-                    recs[:, 1] = arr[:, 3]
-                    recs[:, 2] = cycle
-                    recs[:, 3] = arr[:, 4]
-                    lane_flits = np.bincount(
-                        lanes, weights=arr[:, 3],
-                        minlength=kernel.num_lanes,
-                    ).astype(np.int64)
-                    kernel.inject_packed(gid, recs, lane_flits)
-                else:
-                    created = np.full(lanes.size, cycle, dtype=np.int64)
-                    kernel.inject_cycle(
-                        lanes, arr[:, 1], arr[:, 2], created, arr[:, 3],
-                        arr[:, 4], _checked=True,
-                    )
+                kernel.inject_packed(gid, recs, lane_flits)
                 if measuring:
-                    acct["injected"] += np.bincount(
-                        lanes, minlength=kernel.num_lanes
-                    )
+                    acct["injected"] += lane_packets
         fc, tb, tsrc, tdst, tcre = kernel.step(cycle, active)
         if measuring:
             if active is None:

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.metrics.confidence import ConfidenceInterval, t_interval
+from repro.traffic import TRAFFIC_STREAM
 
 _Task = Tuple[Callable[..., float], Dict[str, object], int]
 
@@ -112,11 +113,12 @@ def _fleet_prepass(
     otherwise do.
 
     Returns per-task ``(values, wall_seconds, lanes)`` lists — ``None``
-    value entries mean the task was not batched (no plan, a singleton
-    group, or a fleet failure) and must run on the scalar path.  Each
-    batched task's wall time is its group's wall clock divided by the
-    lane count; ``lanes`` records that count (1 for unbatched tasks),
-    feeding the telemetry's fleet-occupancy view.
+    value entries mean the task was not batched (no plan or a singleton
+    group) and must run on the scalar path.  An exception raised by the
+    fleet kernel propagates.  Each batched task's wall time is its
+    group's wall clock divided by the lane count; ``lanes`` records
+    that count (1 for unbatched tasks), feeding the telemetry's
+    fleet-occupancy view.
     """
     total = len(tasks)
     values: List[Optional[float]] = [None] * total
@@ -144,18 +146,15 @@ def _fleet_prepass(
         groups.setdefault(key, []).append((index, measurement, plan))
     if not groups:
         return values, walls, lanes
-    try:
-        from repro.core.fleet import run_fleet_plans
-    except Exception:
-        return values, walls, lanes
+    from repro.core.fleet import run_fleet_plans
+
     for group in groups.values():
         if len(group) < 2:
             continue  # a lone lane gains nothing over the scalar kernel
         start = time.perf_counter()
-        try:
-            results = run_fleet_plans([plan for _, _, plan in group])
-        except Exception:
-            continue  # any fleet failure falls back to the scalar path
+        # A fleet failure is a bug and propagates: falling back to the
+        # scalar path would hide it behind a slower run.
+        results = run_fleet_plans([plan for _, _, plan in group])
         wall_each = (time.perf_counter() - start) / len(group)
         for (index, measurement, plan), result in zip(group, results):
             try:
@@ -441,8 +440,13 @@ class CheckpointMismatch(ValueError):
 
 
 def _fingerprint_tasks(tasks: Sequence[_Task]) -> str:
-    """Deterministic identity of a task list (order, callables, seeds)."""
+    """Deterministic identity of a task list (order, callables, seeds).
+
+    The traffic stream version is part of it: a checkpoint journalled
+    under another stream holds other simulations' results.
+    """
     digest = hashlib.sha256()
+    digest.update(f"traffic-stream {TRAFFIC_STREAM}\n".encode())
     for measurement, parameters, seed in tasks:
         name = (
             f"{getattr(measurement, '__module__', '?')}."

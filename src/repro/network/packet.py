@@ -97,6 +97,12 @@ class PacketFactory:
         self._next_id += 1
         return packet
 
+    def reserve(self, count: int) -> int:
+        """Hand out ``count`` consecutive identifiers; returns the first."""
+        first = self._next_id
+        self._next_id = first + count
+        return first
+
     @property
     def packets_created(self) -> int:
         """Number of packets handed out so far."""

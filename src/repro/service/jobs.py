@@ -35,6 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import HiRiseConfig
 from repro.obs.perf import config_fingerprint
+from repro.traffic import TRAFFIC_STREAM
 
 #: Schema tag shared by the wire protocol, journal, and cache entries.
 SERVICE_FORMAT = "repro.service/v1"
@@ -175,7 +176,8 @@ def job_fingerprint(spec: Dict[str, object]) -> str:
     The config sub-dict is reduced to :func:`config_fingerprint`, so the
     job inherits the config's order normalisation (two specs whose
     ``failed_channels`` differ only in ordering address the same cache
-    entry).
+    entry).  The traffic stream version is hashed too, so a result
+    cached under another stream is never served.
     """
     normalized = normalize_spec(spec)
     canonical = dict(normalized)
@@ -184,7 +186,10 @@ def job_fingerprint(spec: Dict[str, object]) -> str:
             build_config(canonical["config"])
         )
     blob = json.dumps(
-        {"format": SERVICE_FORMAT, "job": canonical},
+        {
+            "format": SERVICE_FORMAT, "job": canonical,
+            "traffic_stream": TRAFFIC_STREAM,
+        },
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -1,10 +1,14 @@
 """Synthetic traffic patterns (Section V of the paper).
 
 All generators implement the ``TrafficSource`` protocol of
-:mod:`repro.network.engine`: ``packets_for_cycle(cycle)`` yields the packets
-generated during that cycle.  Injection rates are expressed in
-packets/input/cycle; the harness converts to the paper's packets/input/ns
-using the clock frequency of the switch under test.
+:mod:`repro.network.engine`: ``packets_for_cycle(cycle)`` returns the
+packets generated during that cycle.  Underneath it, ``arrivals(cycle)``
+returns the same cycle as arrays ``(srcs, dsts, first_packet_id)``, which
+the fleet kernel packs without building packets.  Synthetic generators
+draw in blocks of cycles; that layout is traffic stream
+:data:`TRAFFIC_STREAM` (see :mod:`repro.traffic.base`).  Injection rates
+are expressed in packets/input/cycle; the harness converts to the paper's
+packets/input/ns using the clock frequency of the switch under test.
 
 Patterns:
 
@@ -21,7 +25,7 @@ Patterns:
 * :class:`TraceTraffic` — replay of explicit (cycle, src, dst) triples.
 """
 
-from repro.traffic.base import SyntheticTraffic
+from repro.traffic.base import TRAFFIC_STREAM, SyntheticTraffic
 from repro.traffic.uniform import UniformRandomTraffic
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.bursty import BurstyTraffic
@@ -35,6 +39,7 @@ from repro.traffic.permutation import PermutationTraffic
 from repro.traffic.trace import TraceTraffic
 
 __all__ = [
+    "TRAFFIC_STREAM",
     "SyntheticTraffic",
     "UniformRandomTraffic",
     "HotspotTraffic",

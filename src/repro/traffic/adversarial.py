@@ -11,6 +11,8 @@ of arbitration scheme.
 
 from typing import Dict
 
+import numpy as np
+
 from repro.core.config import HiRiseConfig
 from repro.traffic.base import SyntheticTraffic
 
@@ -55,9 +57,12 @@ class AdversarialTraffic(SyntheticTraffic):
             active_inputs=sorted(demands.keys()),
         )
         self.demands = dict(demands)
+        self._table = np.full(num_ports, -1, dtype=np.int64)
+        for src, dst in demands.items():
+            self._table[src] = dst
 
-    def destination(self, src: int) -> int:
-        return self.demands[src]
+    def destinations(self, srcs: np.ndarray) -> np.ndarray:
+        return self._table[srcs]
 
 
 def binning_adversarial(config: HiRiseConfig) -> Dict[int, int]:

@@ -9,7 +9,9 @@ streaming transfers and stresses the class counters' burst-forgiveness
 for a long time after the burst", Section III-B.4).
 """
 
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.traffic.base import SyntheticTraffic
 
@@ -39,8 +41,8 @@ class BurstyTraffic(SyntheticTraffic):
             raise ValueError("load 1.0 leaves no room for off periods")
         self.burst_length = burst_length
         self.per_burst_destination = per_burst_destination
-        self._on: Dict[int, bool] = {src: False for src in self.active_inputs}
-        self._burst_dst: Dict[int, int] = {}
+        self._on = np.zeros(self._active.size, dtype=bool)
+        self._burst_dst = np.zeros(self._active.size, dtype=np.int64)
         # Transition probabilities: P(on -> off) = 1/burst_length; solve
         # P(off -> on) so the stationary on-fraction equals the load.
         self._p_end = 1.0 / burst_length
@@ -51,19 +53,34 @@ class BurstyTraffic(SyntheticTraffic):
         else:
             self._p_start = 0.0
 
-    def should_inject(self, src: int, cycle: int) -> bool:
-        if self._on[src]:
-            if self.rng.random() < self._p_end:
-                self._on[src] = False
-                self._burst_dst.pop(src, None)
-        if not self._on[src]:
-            if self.rng.random() < self._p_start:
-                self._on[src] = True
-                if self.per_burst_destination:
-                    self._burst_dst[src] = self.uniform_destination(src)
-        return self._on[src]
+    def destinations(self, srcs: np.ndarray) -> np.ndarray:
+        return self.uniform_destinations(srcs)
 
-    def destination(self, src: int) -> int:
-        if self.per_burst_destination and src in self._burst_dst:
-            return self._burst_dst[src]
-        return self.uniform_destination(src)
+    def _draw_block(self, cycles):
+        # Each cycle an *on* input ends its burst with P(p_end), then an
+        # *off* input (including one that just ended) starts a burst
+        # with P(p_start); an input injects while on.  One candidate
+        # destination per (cycle, input) serves either as the packet's
+        # destination or, per burst, as the destination a burst holds.
+        width = self._active.size
+        ends = self.rng.random((cycles, width)) < self._p_end
+        starts = self.rng.random((cycles, width)) < self._p_start
+        fresh = self.destinations(
+            np.tile(self._active, cycles)
+        ).reshape(cycles, width)
+        on = np.empty((cycles, width), dtype=bool)
+        held = np.empty((cycles, width), dtype=np.int64)
+        state = self._on
+        burst_dst = self._burst_dst
+        for offset in range(cycles):
+            state = state & ~ends[offset]
+            began = starts[offset] & ~state
+            state = state | began
+            burst_dst = np.where(began, fresh[offset], burst_dst)
+            on[offset] = state
+            held[offset] = burst_dst
+        self._on = state
+        self._burst_dst = burst_dst
+        when, column = np.nonzero(on)
+        source = held if self.per_burst_destination else fresh
+        return when, self._active[column], source[when, column]

@@ -8,6 +8,8 @@ number, producing structured load on specific L2LCs.
 
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.traffic.base import SyntheticTraffic
 
 
@@ -79,9 +81,14 @@ class PermutationTraffic(SyntheticTraffic):
                 f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}"
             )
         self.pattern = pattern
-        self._fn = PATTERNS[pattern]
+        fn = PATTERNS[pattern]
         _bits(num_ports)  # validate early
+        table = np.array(
+            [fn(src, num_ports) for src in range(num_ports)], dtype=np.int64
+        )
+        # A port that maps to itself does not cross the switch.
+        table[table == np.arange(num_ports)] = -1
+        self._table = table
 
-    def destination(self, src: int) -> Optional[int]:
-        dst = self._fn(src, self.num_ports)
-        return None if dst == src else dst
+    def destinations(self, srcs: np.ndarray) -> np.ndarray:
+        return self._table[srcs]

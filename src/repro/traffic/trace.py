@@ -10,9 +10,14 @@ workloads can be archived.
 import csv
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
+
+import numpy as np
 
 from repro.network.packet import Packet, PacketFactory
+from repro.traffic.base import Arrivals, as_packets
+
+_NO_EVENTS = np.zeros((2, 0), dtype=np.int64)
 
 
 class TraceTraffic:
@@ -37,11 +42,20 @@ class TraceTraffic:
             self._by_cycle[cycle].append((src, dst))
             count += 1
         self.total_events = count
+        self._arrays = {
+            cycle: np.array(pairs, dtype=np.int64).T
+            for cycle, pairs in self._by_cycle.items()
+        }
 
-    def packets_for_cycle(self, cycle: int) -> Iterator[Packet]:
+    def arrivals(self, cycle: int) -> Arrivals:
+        """Injections at ``cycle`` as ``(srcs, dsts, first_packet_id)``,
+        in trace order (the array form of :meth:`packets_for_cycle`)."""
+        pair = self._arrays.get(cycle, _NO_EVENTS)
+        return pair[0], pair[1], self.factory.reserve(pair.shape[1])
+
+    def packets_for_cycle(self, cycle: int) -> List[Packet]:
         """Packets replayed at ``cycle`` (the TrafficSource protocol)."""
-        for src, dst in self._by_cycle.get(cycle, ()):
-            yield self.factory.create(src, dst, created_cycle=cycle)
+        return as_packets(self.arrivals(cycle), self.factory.num_flits, cycle)
 
     def events(self) -> List[Tuple[int, int, int]]:
         """All (cycle, src, dst) triples, in cycle order."""

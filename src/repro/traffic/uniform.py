@@ -2,6 +2,8 @@
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.traffic.base import SyntheticTraffic
 
 
@@ -25,5 +27,5 @@ class UniformRandomTraffic(SyntheticTraffic):
         super().__init__(num_ports, load, packet_flits, seed, active_inputs)
         self.exclude_self = exclude_self
 
-    def destination(self, src: int) -> int:
-        return self.uniform_destination(src, exclude_self=self.exclude_self)
+    def destinations(self, srcs: np.ndarray) -> np.ndarray:
+        return self.uniform_destinations(srcs, self.exclude_self)

@@ -83,12 +83,14 @@ def test_lane_divergence_minimized_and_replayable(tmp_path, monkeypatch):
 
 
 def test_pre_fleet_repro_files_replay_scalar_only(tmp_path):
-    # Files written before the fleet mode have no fleet_lanes entry and
+    # Files without a fleet_lanes entry (written before the fleet mode)
     # must keep replaying exactly as before (scalar differential only).
+    # Replay also needs the file's traffic stream to be the current one.
     case = generate_cases(3, 1)[0]
     outcome = run_case(case)
     payload = {
         "format": "repro.check/v1",
+        "traffic_stream": 2,
         "case": case.to_dict(),
         "outcome": outcome.to_dict(),
         "minimized": False,

@@ -22,6 +22,21 @@ from repro.traffic import UniformRandomTraffic
 KERNELS = [HiRiseSwitch, ReferenceHiRiseSwitch]
 
 
+def run_to_live_path(simulation, switch, cycles=10):
+    """Run ``cycles`` cycles, then on until at least one path is live.
+
+    Saturated 4-flit traffic opens and tears down paths in lockstep, so
+    a fixed cycle count can end on a cycle with no path open; which
+    cycle that is depends on the traffic draws, not on the kernel.
+    """
+    simulation.run(measure_cycles=cycles)
+    for _ in range(8):
+        if switch.connections:
+            return
+        simulation.run(measure_cycles=1)
+    raise AssertionError("need at least one live path")
+
+
 def small_config(**overrides):
     defaults = dict(radix=8, layers=2, channel_multiplicity=2)
     defaults.update(overrides)
@@ -132,8 +147,7 @@ class TestCorruptedKernels:
         switch = kernel_cls(small_config(), invariants=checker)
         traffic = UniformRandomTraffic(8, 0.7, seed=5)
         simulation = Simulation(switch, traffic, warmup_cycles=0)
-        simulation.run(measure_cycles=10)
-        assert switch.connections, "need at least one live path"
+        run_to_live_path(simulation, switch)
         # Point a second, unconnected input at an already-owned output.
         input_port, (_, output) = next(iter(switch.connections.items()))
         other = next(
@@ -152,8 +166,7 @@ class TestCorruptedKernels:
         switch = kernel_cls(small_config(), invariants=checker)
         traffic = UniformRandomTraffic(8, 0.7, seed=5)
         simulation = Simulation(switch, traffic, warmup_cycles=0)
-        simulation.run(measure_cycles=10)
-        assert switch.connections, "need at least one live path"
+        run_to_live_path(simulation, switch)
         _, (resource, _) = next(iter(switch.connections.items()))
         if isinstance(switch.resource_owner, dict):
             key = next(iter(switch.resource_owner))
@@ -195,7 +208,7 @@ class TestViolationStructure:
         switch = HiRiseSwitch(small_config(), invariants=checker)
         traffic = UniformRandomTraffic(8, 0.7, seed=5)
         simulation = Simulation(switch, traffic, warmup_cycles=0)
-        simulation.run(measure_cycles=10)
+        run_to_live_path(simulation, switch)
         switch.resource_owner[
             next(iter(switch.connections.values()))[0]
         ] = -1
@@ -218,7 +231,7 @@ class TestViolationStructure:
         )
         traffic = UniformRandomTraffic(8, 0.7, seed=5)
         simulation = Simulation(switch, traffic, warmup_cycles=0)
-        simulation.run(measure_cycles=10)
+        run_to_live_path(simulation, switch)
         switch.resource_owner[
             next(iter(switch.connections.values()))[0]
         ] = -1

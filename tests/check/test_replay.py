@@ -63,6 +63,29 @@ class TestHistoricalReplay:
     def test_cli_replay_missing_file_exits_two(self, capsys):
         assert main(["check", "--replay", "/nonexistent.json"]) == 2
 
+    def test_file_from_another_traffic_stream_is_refused(
+        self, tmp_path, capsys
+    ):
+        # A file without a stream tag predates stream versioning.
+        with open(HISTORICAL, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload.pop("traffic_stream") == 2
+        path = tmp_path / "stream1.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="traffic stream 1"):
+            replay_repro(str(path))
+        assert main(["check", "--replay", str(path)]) == 2
+        assert "traffic stream 1" in capsys.readouterr().err
+        payload["traffic_stream"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="traffic stream 3"):
+            replay_repro(str(path))
+
+    def test_new_files_record_the_traffic_stream(self):
+        case = generate_cases(seed=3, count=1)[0]
+        payload = repro_payload(case, CaseOutcome(status="ok", detail=""))
+        assert payload["traffic_stream"] == 2
+
 
 class TestCliFuzz:
     def test_small_fuzz_campaign_exits_zero(self, tmp_path, capsys):

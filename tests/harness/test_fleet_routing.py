@@ -208,3 +208,15 @@ def test_telemetry_heartbeats_cover_fleet_tasks():
     assert [p.value for p in points] == [p.value for p in baseline]
     # One heartbeat per (point, replication) task, fleet-batched or not.
     assert len(telemetry.heartbeats) == len(GRID) * 2
+
+
+def test_fleet_failure_raises_instead_of_running_scalar(monkeypatch):
+    # A fleet bug must surface, not quietly turn into a scalar run.
+    import repro.core.fleet as fleet
+
+    def broken_fleet(plans, tracer=None):
+        raise RuntimeError("fleet kernel bug")
+
+    monkeypatch.setattr(fleet, "run_fleet_plans", broken_fleet)
+    with pytest.raises(RuntimeError, match="fleet kernel bug"):
+        replicate(make_measurement(), num_replications=3, base_seed=4)

@@ -5,6 +5,7 @@ The CI container may expose a single CPU, so these tests assert
 rather than wall-clock speedup.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -436,6 +437,27 @@ class TestCheckpointResume:
             run_sweep(
                 seed_polynomial, [{}], base_seed=9, checkpoint=path,
             )
+
+    def test_checkpoint_from_another_traffic_stream_rejected(self, tmp_path):
+        # Written before the traffic stream was versioned (stream 1):
+        # the task-list fingerprint hashed no stream line.
+        tasks = [(throughput_measurement, {}, seed) for seed in range(2)]
+        stream_1 = hashlib.sha256()
+        for measurement, parameters, seed in tasks:
+            name = f"{measurement.__module__}.{measurement.__qualname__}"
+            stream_1.update(
+                f"{name}|{sorted(parameters.items())!r}|{seed}\n".encode()
+            )
+        path = tmp_path / "stream1.jsonl"
+        path.write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "fingerprint": stream_1.hexdigest(),
+            "tasks": 2,
+        }) + "\n" + json.dumps({
+            "index": 0, "value": 0.125, "attempts": 1, "wall_s": 0.0,
+        }) + "\n")
+        with pytest.raises(CheckpointMismatch, match="different"):
+            SweepCheckpoint(path, tasks)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "alien.jsonl"

@@ -112,3 +112,34 @@ class TestExecuteJobTask:
         assert value == 1.0
         cached = ResultCache(tmp_path).get(fingerprint)
         assert cached == run_job(spec)
+
+
+class TestTrafficStream:
+    def test_fingerprint_covers_the_traffic_stream(self, monkeypatch):
+        from repro.service import jobs
+
+        spec = {"kind": "simulate", "cycles": 30, "warmup": 5}
+        current = job_fingerprint(spec)
+        monkeypatch.setattr(jobs, "TRAFFIC_STREAM", 1)
+        assert job_fingerprint(spec) != current
+
+    def test_stream_1_cache_entry_is_not_served(self, tmp_path, monkeypatch):
+        from repro.service import ServiceClient, SweepService, jobs
+
+        spec = {"kind": "simulate", "cycles": 30, "warmup": 5}
+        cache = ResultCache(tmp_path / "state" / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(jobs, "TRAFFIC_STREAM", 1)
+            stale = dict(run_job(spec), packets_ejected=-1)
+            cache.put(job_fingerprint(spec), stale)
+        assert cache.get(job_fingerprint(spec)) is None
+        service = SweepService(tmp_path / "state", workers=1)
+        service.start()
+        try:
+            client = ServiceClient(*service.address, timeout=60.0)
+            accepted = client.submit(spec)
+            assert accepted["cache_hit"] is False
+            outcome = client.result(job_id=accepted["job_id"], wait_s=60)
+        finally:
+            service.stop()
+        assert outcome["payload"] == run_job(spec)

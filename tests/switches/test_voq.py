@@ -11,6 +11,7 @@ swapped for a round-robin composition).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.arbitration.islip import ISLIPArbiter
@@ -41,8 +42,9 @@ class FixedDestinationTraffic(SyntheticTraffic):
                          seed=seed)
         self.mapping = mapping
 
-    def destination(self, src):
-        return self.mapping[src]
+    def destinations(self, srcs):
+        return np.array([self.mapping[src] for src in srcs.tolist()],
+                        dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
