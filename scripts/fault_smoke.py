@@ -16,7 +16,11 @@ Exercises the PR 4 robustness machinery end to end, the way CI wants it
    the resilient scheduler with retries, a per-task timeout, and a
    JSONL checkpoint, must complete with values bit-identical to the
    plain serial sweep — and a resumed run must replay the checkpoint
-   without recomputing.
+   without recomputing.  Then a checkpointed sweep running in its own
+   process group is SIGKILLed (parent and workers) mid-run; re-running
+   it on the same checkpoint must recompute exactly the tasks the
+   journal lacks, return values bit-identical to the serial sweep, and
+   no process of the killed group may survive.
 
 Usage:
     python scripts/fault_smoke.py                 # writes into ./fault-smoke
@@ -26,7 +30,10 @@ Usage:
 import argparse
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +49,19 @@ from repro.faults import (  # noqa: E402
 )
 from repro.harness.report import render_degradation_markdown  # noqa: E402
 from repro.harness.sweep import parameter_grid, run_sweep  # noqa: E402
+from repro.util.jsonl import read_jsonl  # noqa: E402
+
+LOADS = [0.4, 0.8]
+REPLICATIONS = 3
+
+#: Runs :func:`killable_sweep` in a child process and prints its points.
+CHILD = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import fault_smoke\n"
+    "points = fault_smoke.killable_sweep(sys.argv[2], sys.argv[3])\n"
+    "print(json.dumps([[p.value, p.interval.half_width] for p in points]))\n"
+)
 
 
 def crashing_measurement(seed, load=0.6, token=None):
@@ -70,6 +90,46 @@ def healthy_measurement(seed, load=0.6, token=None):
     traffic = UniformRandomTraffic(8, load=load, seed=seed)
     result = Simulation(switch, traffic, warmup_cycles=20).run(100)
     return result.throughput_packets_per_cycle
+
+
+def slow_measurement(seed, load, log):
+    """:func:`healthy_measurement`, logged and slowed to be killable."""
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{seed} {load}\n")
+    time.sleep(0.3)
+    return healthy_measurement(seed, load=load)
+
+
+def killable_sweep(checkpoint, log):
+    """The checkpointed sweep the SIGKILL phase runs in a child."""
+    return run_sweep(
+        slow_measurement, parameter_grid(load=LOADS, log=[log]),
+        replications=REPLICATIONS, base_seed=0, workers=2,
+        checkpoint=checkpoint,
+    )
+
+
+def journaled_indices(checkpoint: Path) -> set:
+    return {
+        row["index"] for row in read_jsonl(checkpoint, missing_ok=True)
+        if isinstance(row, dict) and isinstance(row.get("index"), int)
+    }
+
+
+def live_group_members(pgid: int) -> list:
+    """Pids of non-zombie processes in process group ``pgid``."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state not in ("Z", "X"):
+            live.append(int(entry))
+    return live
 
 
 def check_parity(seed: int) -> None:
@@ -156,6 +216,66 @@ def check_resilient_sweep(out_dir: Path) -> None:
         f"resilient sweep: {len(crashed)} forced worker crashes retried "
         f"to bit-identical results; checkpoint resume replayed "
         f"{len(supervised) * 3} tasks without recomputing"
+    )
+    check_killed_sweep(out_dir, serial)
+
+
+def check_killed_sweep(out_dir: Path, serial) -> None:
+    """SIGKILL a checkpointed sweep's process group, then resume it."""
+    checkpoint = out_dir / "killed-checkpoint.jsonl"
+    log = out_dir / "killed-runs.log"
+    for path in (checkpoint, log):
+        path.unlink(missing_ok=True)
+    command = [
+        sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
+        str(checkpoint), str(log),
+    ]
+    tasks = len(LOADS) * REPLICATIONS
+    child = subprocess.Popen(
+        command, start_new_session=True, stdout=subprocess.DEVNULL
+    )
+    deadline = time.monotonic() + 120.0
+    try:
+        while not journaled_indices(checkpoint):
+            if child.poll() is not None:
+                raise SystemExit("killed sweep exited before the kill")
+            if time.monotonic() > deadline:
+                raise SystemExit("killed sweep journaled nothing in 120 s")
+            time.sleep(0.01)
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    journaled = journaled_indices(checkpoint)
+    assert 0 < len(journaled) < tasks, journaled
+    deadline = time.monotonic() + 10.0
+    while live_group_members(child.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = live_group_members(child.pid)
+    assert not survivors, f"killed sweep left processes behind: {survivors}"
+    # Resume on the same checkpoint in a fresh process.
+    log.unlink()
+    resumed = json.loads(subprocess.run(
+        command, check=True, capture_output=True, text=True,
+    ).stdout)
+    recomputed = [line.split() for line in log.read_text().splitlines()]
+    recomputed_indices = {
+        LOADS.index(float(load)) * REPLICATIONS + int(seed)
+        for seed, load in recomputed
+    }
+    assert len(recomputed) == len(recomputed_indices), recomputed
+    assert recomputed_indices == set(range(tasks)) - journaled, (
+        "resume recomputed a journaled task or skipped a missing one"
+    )
+    assert resumed == [
+        [point.value, point.interval.half_width] for point in serial
+    ], (resumed, serial)
+    print(
+        f"killed sweep: SIGKILLed its process group with "
+        f"{len(journaled)}/{tasks} tasks journaled; resume recomputed "
+        f"only the other {len(recomputed)} to bit-identical results"
     )
 
 

@@ -849,128 +849,6 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.service import SweepService
-
-    service = SweepService(
-        args.state,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        max_batch=args.max_batch,
-        breaker_threshold=args.breaker_threshold,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
-        jitter_seed=args.jitter_seed,
-    )
-    service.start()
-    host, port = service.address
-    # The parseable "serving on" line is the startup handshake scripts
-    # wait for; keep its shape stable.
-    print(f"serving on {host}:{port} (state {args.state})", flush=True)
-    try:
-        service.wait()
-    except KeyboardInterrupt:
-        service.stop()
-    return 0
-
-
-def _service_client(args):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.host, args.port, timeout=args.timeout)
-
-
-def cmd_submit(args) -> int:
-    import json
-
-    from repro.service import ServiceError
-
-    if args.spec == "-":
-        raw = sys.stdin.read()
-    else:
-        raw = args.spec
-    try:
-        spec = json.loads(raw)
-    except json.JSONDecodeError as error:
-        print(f"submit: spec is not valid JSON: {error}", file=sys.stderr)
-        return 2
-    client = _service_client(args)
-    try:
-        accepted = client.submit_with_backpressure(
-            spec, priority=args.priority
-        )
-        print(json.dumps(accepted, indent=2, sort_keys=True))
-        if args.wait > 0:
-            outcome = client.result(
-                job_id=accepted["job_id"], wait_s=args.wait
-            )
-            payload = outcome.get("payload")
-            if payload is None:
-                job = outcome.get("job", {})
-                print(f"submit: job {job.get('job_id')} "
-                      f"{job.get('state')}: {job.get('error')}",
-                      file=sys.stderr)
-                return 1
-            print(json.dumps(payload, indent=2, sort_keys=True))
-    except ServiceError as error:
-        print(f"submit: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
-        print(f"submit: cannot reach the daemon at "
-              f"{args.host}:{args.port}: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_jobs(args) -> int:
-    import json
-
-    from repro.service import ServiceError
-
-    client = _service_client(args)
-    try:
-        if args.shutdown:
-            client.shutdown()
-            print("shutdown requested")
-            return 0
-        if args.prometheus:
-            sys.stdout.write(str(client.metrics()["prometheus"]))
-            return 0
-        if args.metrics:
-            print(json.dumps(client.metrics()["counters"],
-                             indent=2, sort_keys=True))
-            return 0
-        jobs = client.jobs()
-        if not jobs:
-            print("no jobs")
-            return 0
-        for job in jobs:
-            line = (f"{job['job_id']:10s} {str(job['kind'] or '?'):9s} "
-                    f"{job['state']:10s}")
-            if job.get("source"):
-                line += f" [{job['source']}]"
-            if job.get("error"):
-                line += f" error: {job['error']}"
-            print(f"{line}  {job['fingerprint']}")
-    except ServiceError as error:
-        print(f"jobs: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
-        print(f"jobs: cannot reach the daemon at "
-              f"{args.host}:{args.port}: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _add_client_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7451)
-    parser.add_argument("--timeout", type=float, default=30.0,
-                        help="per-request socket timeout in seconds")
-
-
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--traffic", choices=["uniform", "hotspot"],
                         default="uniform")
@@ -1217,61 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--stride", type=int, default=16,
                       help="sampling stride for --phases")
     perf.set_defaults(handler=cmd_perf)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the crash-safe sweep/audit/fuzz job daemon",
-    )
-    serve.add_argument("--state", required=True,
-                       help="durable state directory (journal, result "
-                            "cache); reuse it to recover after a crash")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (0 picks an ephemeral port, "
-                            "printed on startup)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="executor pool width")
-    serve.add_argument("--queue-limit", type=int, default=32,
-                       help="admission bound; a full queue sheds load "
-                            "with a structured overloaded response")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="jobs dispatched to the executor per batch")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive worker crashes that quarantine "
-                            "a job fingerprint")
-    serve.add_argument("--task-timeout", type=float, default=None,
-                       help="per-attempt wall-clock timeout in seconds")
-    serve.add_argument("--max-retries", type=int, default=3,
-                       help="retry budget per job attempt")
-    serve.add_argument("--jitter-seed", type=int, default=0,
-                       help="seed of the deterministic backoff jitter")
-    serve.set_defaults(handler=cmd_serve)
-
-    submit = commands.add_parser(
-        "submit", help="submit a job to a running daemon"
-    )
-    _add_client_arguments(submit)
-    submit.add_argument("spec",
-                        help="job spec as a JSON object, or - for stdin "
-                             '(e.g. \'{"kind": "simulate", "load": 0.3}\')')
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher dispatches first")
-    submit.add_argument("--wait", type=float, default=120.0,
-                        help="seconds to wait for the result "
-                             "(0 = submit and return immediately)")
-    submit.set_defaults(handler=cmd_submit)
-
-    jobs = commands.add_parser(
-        "jobs", help="inspect or control a running daemon"
-    )
-    _add_client_arguments(jobs)
-    jobs.add_argument("--metrics", action="store_true",
-                      help="print the service counters as JSON")
-    jobs.add_argument("--prometheus", action="store_true",
-                      help="print the Prometheus scrape text")
-    jobs.add_argument("--shutdown", action="store_true",
-                      help="ask the daemon to stop")
-    jobs.set_defaults(handler=cmd_jobs)
 
     table = commands.add_parser("table", help="regenerate a paper table")
     table.add_argument("which", choices=["1", "4", "5", "6"])

@@ -1,37 +1,43 @@
 """Process-parallel execution of sweeps and replications.
 
 Parameter sweeps and independent replications are embarrassingly parallel:
-every task is a pure function of ``(parameters, seed)``.  This module fans
-such tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while guaranteeing:
+every task is a pure function of ``(parameters, seed)``.  This module runs
+such tasks through one executor, :func:`_execute_tasks_resilient`, which
+fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+under a :class:`ResiliencePolicy` while guaranteeing:
 
 * **determinism** — each task derives its seed exactly as the serial code
   does (``base_seed`` for single-shot points, ``base_seed + i`` for the
   i-th replication), and results are reassembled in submission order, so
   ``workers=N`` returns bit-identical results to ``workers=1``;
-* **graceful degradation** — with ``workers=1``, a single task, an
-  unpicklable measurement, or a pool that fails to spawn (restricted
-  containers, daemonic parents), the tasks simply run serially;
-* **crash resilience** (opt-in, PR 4) — any of the ``task_timeout``,
-  ``max_retries``, ``backoff_base``, or ``checkpoint`` keywords routes
-  execution through a supervising scheduler that isolates worker
-  crashes (the pool is rebuilt, innocent in-flight tasks are
-  resubmitted uncharged), enforces per-task wall-clock timeouts,
-  retries failed tasks a bounded number of times with exponential
-  backoff, and journals every completed task to an append-only JSONL
-  checkpoint so an interrupted sweep resumes instead of recomputing.
-  Because every task is a pure function of ``(parameters, seed)``,
-  retried/resumed results are bit-identical to an uninterrupted serial
-  run.
+* **fleet batching** — tasks whose measurement exposes ``fleet_plan``
+  run as lanes of one vectorized fleet kernel (see
+  :func:`_fleet_prepass`), bit-identical to their scalar runs;
+* **serial when a pool cannot help or cannot work** — with
+  ``workers=1``, a single task, an unpicklable measurement, or a pool
+  that fails to spawn (restricted containers, daemonic parents), the
+  tasks run in-process;
+* **supervision on request** — the policy's defaults make a single
+  attempt per task, enforce no timeout and journal nothing, so a task's
+  own exception (or a worker crash, as ``BrokenProcessPool``)
+  propagates unchanged.  ``task_timeout`` bounds each task's wall
+  clock, ``max_retries`` retries failed tasks with jittered
+  exponential backoff (a worker crash rebuilds the pool and resubmits
+  innocent in-flight tasks uncharged), and ``checkpoint`` journals
+  every completed task to an append-only JSONL file
+  (:class:`SweepCheckpoint`) so an interrupted sweep resumes instead of
+  recomputing.  Because every task is a pure function of
+  ``(parameters, seed)``, retried/resumed results are bit-identical to
+  an uninterrupted serial run.
 
 Measurement callables must be picklable (module-level functions, not
 lambdas or closures) to actually run in worker processes; anything else
-silently falls back to the serial path.
+runs serially.
 """
 
 import hashlib
 import heapq
-import json
+import os
 import pickle
 import time
 import warnings
@@ -39,7 +45,6 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -49,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.metrics.confidence import ConfidenceInterval, t_interval
 from repro.traffic import TRAFFIC_STREAM
+from repro.util.jsonl import append_jsonl, read_jsonl
 
 _Task = Tuple[Callable[..., float], Dict[str, object], int]
 
@@ -174,22 +180,14 @@ def _task_fingerprint(task: _Task):
     overrides and traffic seeding, so two tasks that would run the exact
     same simulation — the classic pinned-traffic-seed replication bug —
     compare equal.  Plain callables fall back to (identity, parameters,
-    seed), under which distinct seeds never collide.
+    seed), under which distinct seeds never collide.  A
+    ``task_fingerprint`` that raises is a bug and propagates.
     """
     measurement, parameters, seed = task
     resolve = getattr(measurement, "task_fingerprint", None)
     if resolve is not None:
-        try:
-            fingerprint = ("resolved", resolve(seed=seed, **parameters))
-            hash(fingerprint)
-            return fingerprint
-        except Exception:
-            pass
-    try:
-        key = repr(sorted(parameters.items()))
-    except Exception:
-        key = repr(parameters)
-    return ("raw", id(measurement), key, seed)
+        return ("resolved", resolve(seed=seed, **parameters))
+    return ("raw", id(measurement), repr(sorted(parameters.items())), seed)
 
 
 def _execute_tasks(
@@ -197,189 +195,70 @@ def _execute_tasks(
     workers: int,
     telemetry=None,
 ) -> List[float]:
-    """Run tasks, in order, across ``workers`` processes (1 = serial).
+    """Run tasks, in order, under the default :class:`ResiliencePolicy`.
 
-    Fleet-aware tasks are batched through the vectorized kernel first
-    (see :func:`_fleet_prepass`); the rest — and everything, for plain
-    measurements — runs exactly as before.  Falls back to the serial
-    path when parallelism cannot help (one task) or cannot work
-    (unpicklable tasks, pool spawn failure).  Exceptions raised by the
-    measurement itself always propagate.
-
-    When a :class:`repro.obs.SweepTelemetry` is given it receives one
-    heartbeat per completed task — in completion order on the pool path —
-    while the returned values stay in submission order (bit-identical to
-    the untelemetered run).
+    The entry point of :func:`repro.metrics.confidence.replicate`.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if telemetry is not None:
-        return _execute_tasks_telemetered(tasks, workers, telemetry)
-    values, _walls, _lanes = _fleet_prepass(tasks)
-    pending = [index for index in range(len(tasks)) if values[index] is None]
-    if pending:
-        rest = _execute_tasks_plain([tasks[i] for i in pending], workers)
-        for index, value in zip(pending, rest):
-            values[index] = value
-    return [float(value) for value in values]
-
-
-def _execute_tasks_plain(
-    tasks: Sequence[_Task], workers: int
-) -> List[float]:
-    """The scalar dispatch path (serial or process pool), no prepass."""
-    if workers == 1 or len(tasks) <= 1:
-        return [_run_measurement(task) for task in tasks]
-    try:
-        pickle.dumps(tasks)
-    except Exception:
-        return [_run_measurement(task) for task in tasks]
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):
-        return [_run_measurement(task) for task in tasks]
-    try:
-        # map() preserves submission order regardless of completion order.
-        return list(pool.map(_run_measurement, tasks))
-    except (OSError, BrokenProcessPool):
-        return [_run_measurement(task) for task in tasks]
-    finally:
-        pool.shutdown()
-
-
-def _execute_tasks_telemetered(
-    tasks: Sequence[_Task],
-    workers: int,
-    telemetry,
-) -> List[float]:
-    """:func:`_execute_tasks` with per-task heartbeats.
-
-    Workers return ``(value, wall_seconds)``; the parent reports each
-    completion as its future resolves, so telemetry never runs inside a
-    task and cannot perturb results.
-    """
-    total = len(tasks)
-    telemetry.start(total)
-    values: List[Optional[float]] = [None] * total
-    fleet_values, fleet_walls, fleet_lanes = _fleet_prepass(tasks)
-    for index, value in enumerate(fleet_values):
-        if value is not None:
-            values[index] = value
-            _report(
-                telemetry, tasks[index], index, total, value,
-                fleet_walls[index], lanes=fleet_lanes[index],
-            )
-    pending = [index for index in range(total) if values[index] is None]
-
-    def serial() -> List[float]:
-        for index in pending:
-            if values[index] is not None:
-                continue  # finished on the pool before it broke
-            value, wall_s = _run_measurement_timed(tasks[index])
-            _report(telemetry, tasks[index], index, total, value, wall_s)
-            values[index] = value
-        return [float(value) for value in values]
-
-    if workers == 1 or len(pending) <= 1:
-        return serial()
-    try:
-        pickle.dumps([tasks[index] for index in pending])
-    except Exception:
-        return serial()
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):
-        return serial()
-    try:
-        futures = {
-            pool.submit(_run_measurement_timed, tasks[index]): index
-            for index in pending
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            value, wall_s = future.result()
-            values[index] = value
-            fleet_walls[index] = wall_s
-            _report(telemetry, tasks[index], index, total, value, wall_s)
-        return [float(value) for value in values]
-    except (OSError, BrokenProcessPool):
-        telemetry.start(total)  # the pool died: restart the channel
-        for index, value in enumerate(values):
-            if value is not None:
-                # Re-report everything already done (fleet-batched and
-                # pool completions) on the new channel; the serial pass
-                # reports the rest as it computes them.
-                _report(
-                    telemetry, tasks[index], index, total, value,
-                    fleet_walls[index] or 0.0, lanes=fleet_lanes[index],
-                )
-        return serial()
-    finally:
-        pool.shutdown()
+    return _execute_tasks_resilient(
+        tasks, workers, ResiliencePolicy(), telemetry
+    )
 
 
 # ---------------------------------------------------------------------------
-# Crash-resilient execution (opt-in)
+# The executor
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """How the resilient scheduler supervises a batch of tasks.
+    """How the executor supervises a batch of tasks.
+
+    The defaults make one attempt per task with no timeout and no
+    journal: a failing task's own exception propagates unchanged.
 
     Attributes:
         task_timeout: Per-task wall-clock budget in seconds; a task
             running longer is charged an attempt and the worker pool is
             torn down and rebuilt (a hung worker cannot be interrupted
             any other way).  ``None`` disables timeouts.  Only enforced
-            on the pool path — the serial fallback cannot preempt a
+            on the pool path — the serial path cannot preempt a
             running task.
         max_retries: How many times one task may fail (crash, raise, or
-            time out) before :class:`TaskFailure` aborts the batch.  0
-            means a single attempt.  A worker crash fails every future
-            in flight on the broken pool and the scheduler charges
-            exactly one of them (the culprit is not identifiable), so
-            when crashes are *expected*, budget one extra retry per
-            anticipated crash for innocent bystanders.
+            time out) and be retried.  0 means a single attempt whose
+            failure propagates as is (a worker crash as
+            ``BrokenProcessPool``); with 1 or more, exhausting the
+            budget raises :class:`TaskFailure`.  A worker crash fails
+            every future in flight on the broken pool and the executor
+            charges exactly one of them (the culprit is not
+            identifiable), so when crashes are *expected*, budget one
+            extra retry per anticipated crash for innocent bystanders.
         backoff_base: First retry delay in seconds; attempt ``k``
             waits ``backoff_base * 2**(k-1)``, capped at
             ``backoff_cap`` and then jittered (see ``backoff_jitter``).
         backoff_cap: Upper bound on any single retry delay (before
             jitter, which only ever shortens it).
         backoff_jitter: Fraction of each retry delay to randomise away,
-            in ``[0, 1]``.  Attempt ``k`` of task ``key`` sleeps
-            ``delay * (1 - backoff_jitter * u)`` where ``u ∈ [0, 1)``
-            is drawn *deterministically* from ``(jitter_seed, key,
-            k)`` — so N workers that failed together fan back out
-            instead of re-colliding in lockstep (the classic retry
-            storm), yet the same run replays with the same delays.
-            Jitter shapes only the sleep schedule, never task inputs:
-            results stay bit-identical to an unjittered run.
+            in ``[0, 1]``.  Attempt ``k`` of task ``key`` (its index in
+            the batch) sleeps ``delay * (1 - backoff_jitter * u)`` where
+            ``u ∈ [0, 1)`` is drawn *deterministically* from
+            ``(jitter_seed, key, k)`` — so N workers that failed
+            together fan back out instead of re-colliding in lockstep
+            (the classic retry storm), yet the same run replays with
+            the same delays.  Jitter shapes only the sleep schedule,
+            never task inputs: results stay bit-identical to an
+            unjittered run.
         jitter_seed: Seed folded into the jitter draw.
         checkpoint: Optional path of an append-only JSONL journal of
             completed tasks.  If the file already exists it must match
             the task list's fingerprint, and its completed tasks are
             not re-run (checkpoint/resume).
-        breaker: Optional circuit breaker (duck-typed, e.g.
-            :class:`repro.service.breaker.CircuitBreaker`) consulted on
-            worker *crashes*: ``record_crash(key)`` is called per
-            charged crash and, when it returns True (the breaker
-            opened), the task fails immediately instead of burning the
-            rest of its retry budget on a fingerprint that keeps
-            killing workers.  ``record_success(key)`` resets the streak
-            when the task completes.
-        breaker_keys: Per-task breaker keys, aligned with the task
-            list (e.g. job fingerprints, so a crashy job is quarantined
-            across batches).  Defaults to the task index.
     """
 
     task_timeout: Optional[float] = None
-    max_retries: int = 2
+    max_retries: int = 0
     backoff_base: float = 0.1
     backoff_cap: float = 5.0
     backoff_jitter: float = 0.5
     jitter_seed: int = 0
     checkpoint: Optional[Union[str, Path]] = None
-    breaker: Optional[object] = None
-    breaker_keys: Optional[Tuple[object, ...]] = None
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -390,12 +269,6 @@ class ResiliencePolicy:
             raise ValueError("backoff delays must be >= 0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be within [0, 1]")
-
-    def breaker_key(self, index: int) -> object:
-        """The breaker/jitter identity of task ``index``."""
-        if self.breaker_keys is not None and index < len(self.breaker_keys):
-            return self.breaker_keys[index]
-        return index
 
     def backoff_delay(self, attempt: int, key: object = 0) -> float:
         """Jittered delay before retry ``attempt`` (1-based) of ``key``.
@@ -475,17 +348,17 @@ class SweepCheckpoint:
         self.completed: Dict[int, Tuple[float, float]] = {}
         had_header = self.path.exists() and self._load()
         self._handle = open(self.path, "a", encoding="utf-8")
+        if had_header and not self._ends_with_newline():
+            # Seal a torn tail so the next record starts on its own line.
+            self._handle.write("\n")
         if not had_header:
-            self._handle.write(json.dumps({
+            append_jsonl(self._handle, {
                 "format": CHECKPOINT_FORMAT,
                 "fingerprint": self.fingerprint,
                 "tasks": self.total,
-            }) + "\n")
-            self._handle.flush()
+            })
 
     def _load(self) -> bool:
-        from repro.util.jsonl import read_jsonl
-
         rows = [row for row in read_jsonl(self.path) if isinstance(row, dict)]
         if not rows:
             return False
@@ -511,14 +384,18 @@ class SweepCheckpoint:
                 )
         return True
 
+    def _ends_with_newline(self) -> bool:
+        with open(self.path, "rb") as raw:
+            raw.seek(-1, os.SEEK_END)
+            return raw.read(1) == b"\n"
+
     def append(self, index: int, value: float, attempts: int, wall_s: float) -> None:
         """Journal one completed task (flushed immediately)."""
         self.completed[index] = (value, wall_s)
-        self._handle.write(json.dumps({
+        append_jsonl(self._handle, {
             "index": index, "value": value,
             "attempts": attempts, "wall_s": wall_s,
-        }) + "\n")
-        self._handle.flush()
+        })
 
     def close(self) -> None:
         """Release the journal file handle."""
@@ -554,16 +431,27 @@ def _execute_tasks_resilient(
     policy: ResiliencePolicy,
     telemetry=None,
 ) -> List[float]:
-    """Run tasks under supervision: timeouts, retries, crash isolation.
+    """Run tasks, in order, across ``workers`` processes (1 = serial).
 
-    Results are returned in submission order and — tasks being pure
-    functions of ``(parameters, seed)`` — are bit-identical to the
-    plain serial path no matter how many crashes, timeouts, retries, or
-    checkpoint resumes happened along the way.
+    The one executor behind :func:`replicate` and :func:`run_sweep`.
+    Journaled tasks (``policy.checkpoint``) are replayed, fleet-aware
+    tasks are batched through the vectorized kernel (see
+    :func:`_fleet_prepass`), and the rest run in-process or on a
+    process pool under ``policy``: per-task timeouts, bounded retries,
+    crash isolation.  Results are returned in submission order and —
+    tasks being pure functions of ``(parameters, seed)`` — are
+    bit-identical to a serial run no matter how many crashes, timeouts,
+    retries, or checkpoint resumes happened along the way.
+
+    When a :class:`repro.obs.SweepTelemetry` is given it receives one
+    heartbeat per completed task — in completion order on the pool
+    path — while the returned values stay in submission order.
 
     Raises:
         TaskFailure: When one task fails ``policy.max_retries + 1``
-            times.
+            times, for a budget of one retry or more.  With
+            ``max_retries=0`` the task's own exception (or
+            ``BrokenProcessPool`` for a worker crash) propagates.
         CheckpointMismatch: When ``policy.checkpoint`` exists but
             journals a different task list.
     """
@@ -590,8 +478,6 @@ def _execute_tasks_resilient(
         values[index] = value
         if checkpoint is not None:
             checkpoint.append(index, value, attempts[index] + 1, wall_s)
-        if policy.breaker is not None:
-            policy.breaker.record_success(policy.breaker_key(index))
         if telemetry is not None:
             _report(
                 telemetry, tasks[index], index, total, value, wall_s,
@@ -600,21 +486,13 @@ def _execute_tasks_resilient(
 
     def charge(index: int, cause: BaseException) -> float:
         """Count one failed attempt; return the jittered backoff delay."""
+        if policy.max_retries == 0:
+            raise cause
         _note_failure(telemetry, cause)
         attempts[index] += 1
-        key = policy.breaker_key(index)
-        if (
-            policy.breaker is not None
-            and isinstance(cause, BrokenProcessPool)
-            and policy.breaker.record_crash(key)
-        ):
-            # The breaker opened: this key keeps killing workers, and
-            # another retry would just crash another pool.  Fail now,
-            # retry budget notwithstanding.
-            raise TaskFailure(index, tasks[index], attempts[index], cause)
         if attempts[index] > policy.max_retries:
             raise TaskFailure(index, tasks[index], attempts[index], cause)
-        return policy.backoff_delay(attempts[index], key=key)
+        return policy.backoff_delay(attempts[index], key=index)
 
     # Fleet-batch whatever the checkpoint didn't already cover; batched
     # lanes are journaled and reported exactly like scalar completions,
@@ -630,8 +508,8 @@ def _execute_tasks_resilient(
             record(index, value, fleet_walls[index], fleet_lanes[index])
 
     def serial() -> List[float]:
-        # In-process fallback: retries and checkpointing still apply;
-        # timeouts cannot (a running task is not preemptible here).
+        # In-process: retries and checkpointing still apply; timeouts
+        # cannot (a running task is not preemptible here).
         for index in range(total):
             while values[index] is None:
                 try:
@@ -650,11 +528,15 @@ def _execute_tasks_resilient(
         )
         if not backlog:
             return [float(value) for value in values]
-        if workers == 1:
+        # A lone task gains nothing from a pool, unless only a pool can
+        # enforce its timeout.
+        if workers == 1 or (
+            len(backlog) == 1 and policy.task_timeout is None
+        ):
             return serial()
         try:
             pickle.dumps([tasks[index] for index in backlog])
-        except Exception:
+        except (pickle.PicklingError, TypeError, AttributeError):
             return serial()
         pool = _spawn_pool(workers)
         if pool is None:
@@ -765,39 +647,19 @@ def _execute_tasks_resilient(
                             return serial()
                 fill()
             return [float(value) for value in values]
+        except BaseException:
+            # Failing out (a task's error, a timeout, an interrupt):
+            # stop the workers still running instead of leaving them.
+            if pool is not None:
+                _kill_pool(pool)
+                pool = None
+            raise
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
     finally:
         if checkpoint is not None:
             checkpoint.close()
-
-
-def _resolve_policy(
-    task_timeout: Optional[float],
-    max_retries: Optional[int],
-    backoff_base: Optional[float],
-    checkpoint: Optional[Union[str, Path]],
-) -> Optional[ResiliencePolicy]:
-    """Build a policy when any resilience keyword was given, else None."""
-    if (
-        task_timeout is None and max_retries is None
-        and backoff_base is None and checkpoint is None
-    ):
-        return None
-    policy = ResiliencePolicy(
-        task_timeout=task_timeout,
-        max_retries=(
-            max_retries if max_retries is not None
-            else ResiliencePolicy.max_retries
-        ),
-        backoff_base=(
-            backoff_base if backoff_base is not None
-            else ResiliencePolicy.backoff_base
-        ),
-        checkpoint=checkpoint,
-    )
-    return policy
 
 
 def replicate(
@@ -809,21 +671,20 @@ def replicate(
     workers: int = 1,
     telemetry=None,
     task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
+    max_retries: int = 0,
+    backoff_base: float = 0.1,
     checkpoint: Optional[Union[str, Path]] = None,
 ) -> ConfidenceInterval:
-    """Parallel independent replications of one measurement.
+    """Independent replications of one measurement, as an interval.
 
     Equivalent to :func:`repro.metrics.confidence.replicate` over
     ``measurement(seed=base_seed + i, **parameters)`` but with the
     replications spread over ``workers`` processes.  Results are
     identical to the serial path for any worker count.  An optional
     :class:`repro.obs.SweepTelemetry` receives one heartbeat per
-    completed replication.  Passing any of ``task_timeout`` /
-    ``max_retries`` / ``backoff_base`` / ``checkpoint`` routes
-    execution through the crash-resilient scheduler (see
-    :class:`ResiliencePolicy`); results stay bit-identical.
+    completed replication.  ``task_timeout`` / ``max_retries`` /
+    ``backoff_base`` / ``checkpoint`` set the executor's
+    :class:`ResiliencePolicy`; results stay bit-identical.
 
     Fleet-aware measurements (see
     :class:`repro.harness.measure.SimulationMeasurement`) are batched
@@ -859,13 +720,11 @@ def replicate(
             RuntimeWarning,
             stacklevel=2,
         )
-    policy = _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint)
-    if policy is not None:
-        values = _execute_tasks_resilient(
-            unique_tasks, workers, policy, telemetry
-        )
-    else:
-        values = _execute_tasks(unique_tasks, workers, telemetry)
+    policy = ResiliencePolicy(
+        task_timeout=task_timeout, max_retries=max_retries,
+        backoff_base=backoff_base, checkpoint=checkpoint,
+    )
+    values = _execute_tasks_resilient(unique_tasks, workers, policy, telemetry)
     return t_interval([values[position] for position in source], confidence)
 
 
@@ -878,22 +737,37 @@ def run_sweep(
     workers: int = 1,
     telemetry=None,
     task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
+    max_retries: int = 0,
+    backoff_base: float = 0.1,
     checkpoint: Optional[Union[str, Path]] = None,
 ) -> List["SweepPoint"]:
-    """Parallel version of :func:`repro.harness.sweep.run_sweep`.
+    """Measure every grid point, optionally replicated over seeds.
 
-    The full (point, replication) task list is flattened and spread over
-    ``workers`` processes; the returned points are identical (values,
-    ordering, intervals) to the serial sweep for any worker count.  An
-    optional :class:`repro.obs.SweepTelemetry` receives one heartbeat per
-    completed (point, replication) task.  Passing any of
-    ``task_timeout`` / ``max_retries`` / ``backoff_base`` /
-    ``checkpoint`` routes execution through the crash-resilient
-    scheduler (see :class:`ResiliencePolicy`); results stay
-    bit-identical, and an interrupted sweep re-run with the same
-    ``checkpoint`` path resumes where it stopped.
+    The full (point, replication) task list is flattened and run by the
+    executor; the returned points are identical (values, ordering,
+    intervals) for any worker count.
+
+    Args:
+        measurement: Called as ``measurement(seed=..., **parameters)``;
+            must return a scalar.  Must be picklable (a module-level
+            function) for ``workers > 1`` to actually parallelise.
+        grid: Parameter dictionaries (see
+            :func:`repro.harness.sweep.parameter_grid`).
+        replications: Independent seeds per point; with more than one, a
+            t-confidence interval accompanies each point.
+        workers: Processes to spread the (point, replication) tasks over.
+        telemetry: Optional :class:`repro.obs.SweepTelemetry`; receives a
+            heartbeat per completed (point, replication) task, for any
+            worker count, without affecting the results.
+        task_timeout / max_retries / backoff_base / checkpoint: The
+            executor's :class:`ResiliencePolicy`: per-task timeouts,
+            bounded retries with exponential backoff and worker-crash
+            isolation, and JSONL checkpoint/resume — an interrupted
+            sweep re-run with the same ``checkpoint`` path resumes
+            where it stopped.  Results stay bit-identical.
+
+    Raises:
+        ValueError: If ``replications`` or ``workers`` is not positive.
     """
     from repro.harness.sweep import SweepPoint
 
@@ -904,11 +778,11 @@ def run_sweep(
         for parameters in grid
         for index in range(replications)
     ]
-    policy = _resolve_policy(task_timeout, max_retries, backoff_base, checkpoint)
-    if policy is not None:
-        values = _execute_tasks_resilient(tasks, workers, policy, telemetry)
-    else:
-        values = _execute_tasks(tasks, workers, telemetry)
+    policy = ResiliencePolicy(
+        task_timeout=task_timeout, max_retries=max_retries,
+        backoff_base=backoff_base, checkpoint=checkpoint,
+    )
+    values = _execute_tasks_resilient(tasks, workers, policy, telemetry)
     points: List[SweepPoint] = []
     for number, parameters in enumerate(grid):
         chunk = values[number * replications:(number + 1) * replications]

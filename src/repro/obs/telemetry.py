@@ -126,7 +126,8 @@ class SweepTelemetry:
     def record_failure(self, kind: str = "retry") -> None:
         """Count one executor failure event (``retry``/``crash``/``timeout``).
 
-        Reported by the resilient executor's charge path; a task that
+        Reported by the sweep executor when a failed attempt is charged
+        against a retry budget (``max_retries`` ≥ 1); a task that
         eventually succeeds still leaves its failure counts here, so
         the live view shows how hard the run is fighting.
         """

@@ -7,8 +7,10 @@ rather than wall-clock speedup.
 
 import hashlib
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -82,9 +84,30 @@ def always_fail_measurement(seed):
     raise RuntimeError("instrument fault")
 
 
-def crash_always_measurement(seed):
-    """Kill the worker on every attempt (a deterministic crasher)."""
-    os._exit(1)
+def logged_failure_measurement(seed, log, error):
+    """Log the seed, then raise the named builtin exception type."""
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{seed}\n")
+    raise {"ValueError": ValueError, "RuntimeError": RuntimeError}[error](
+        "instrument fault"
+    )
+
+
+def crash_in_worker_measurement(seed, parent):
+    """Kill any worker process; succeed only in the ``parent`` process."""
+    if os.getpid() != parent:
+        os._exit(1)
+    return seed_polynomial(seed)
+
+
+class BrokenFingerprint:
+    """A measurement whose ``task_fingerprint`` hook is buggy."""
+
+    def __call__(self, seed):
+        return seed_polynomial(seed)
+
+    def task_fingerprint(self, seed):
+        raise RuntimeError("fingerprint bug")
 
 
 class TestParallelSweep:
@@ -132,6 +155,44 @@ class TestParallelSweep:
         with pytest.raises(RuntimeError, match="measurement failed"):
             run_sweep(boom, [{}, {}], workers=2)
 
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    @pytest.mark.parametrize("telemetered", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_path_propagates_without_retry(
+        self, tmp_path, workers, telemetered, error
+    ):
+        # The default policy makes one attempt per task: the task's own
+        # exception type surfaces (no TaskFailure wrapper) and nothing
+        # is silently re-run.
+        from repro.obs import SweepTelemetry
+
+        log = str(tmp_path / "runs.log")
+        telemetry = SweepTelemetry() if telemetered else None
+        with pytest.raises(error, match="instrument fault"):
+            run_sweep(
+                logged_failure_measurement,
+                [{"log": log, "error": error.__name__}],
+                replications=2, workers=workers, telemetry=telemetry,
+            )
+        with open(log, encoding="utf-8") as handle:
+            runs = handle.read().split()
+        # No task ran twice.  Serially the failure stops the batch at
+        # the first task; on the pool the sibling may or may not have
+        # started before the failure propagated.
+        assert len(runs) == len(set(runs)) >= 1
+        if workers == 1:
+            assert runs == ["0"]
+
+    def test_worker_crash_on_default_path_raises(self):
+        # A crashed worker is not quietly re-run in the parent: the
+        # measurement only succeeds in-process, so a serial re-run
+        # would return values instead of raising.
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(
+                crash_in_worker_measurement, [{"parent": os.getpid()}],
+                replications=2, workers=2,
+            )
+
 
 class TestParallelReplicate:
     def test_workers_reproduce_serial_interval(self):
@@ -160,6 +221,11 @@ class TestParallelReplicate:
     def test_too_few_replications_rejected(self):
         with pytest.raises(ValueError):
             parallel.replicate(seed_polynomial, num_replications=1)
+
+    def test_raising_task_fingerprint_propagates(self):
+        # A broken fingerprint is a bug, not a cue to dedupe by identity.
+        with pytest.raises(RuntimeError, match="fingerprint bug"):
+            parallel.replicate(BrokenFingerprint(), num_replications=3)
 
 
 class TestResiliencePolicy:
@@ -230,6 +296,21 @@ class TestResiliencePolicy:
         assert points[0].interval.mean == expected.mean
         assert elapsed < 30.0  # far below the 60 s hang
 
+    def test_timeout_without_retries_raises_and_stops_the_worker(
+        self, tmp_path
+    ):
+        token = str(tmp_path / "hang")
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            run_sweep(
+                hang_once_measurement, [{"token": token}], replications=2,
+                workers=2, task_timeout=1.0,
+            )
+        # The hung worker is terminated, not left sleeping out its 60 s.
+        while multiprocessing.active_children():
+            assert time.monotonic() - start < 30.0
+            time.sleep(0.05)
+
     def test_exhausted_retries_raise_task_failure(self):
         with pytest.raises(TaskFailure) as excinfo:
             run_sweep(
@@ -298,90 +379,6 @@ class TestBackoffJitter:
                              base_seed=0)
         assert points[0].interval.mean == expected.mean
         assert points[0].interval.half_width == expected.half_width
-
-
-class TestBreakerHook:
-    class _Recorder:
-        """Minimal breaker duck-type that logs every executor call."""
-
-        def __init__(self, open_after=None):
-            self.crashes = []
-            self.successes = []
-            self.open_after = open_after
-
-        def record_crash(self, key):
-            self.crashes.append(key)
-            return (
-                self.open_after is not None
-                and self.crashes.count(key) >= self.open_after
-            )
-
-        def record_success(self, key):
-            self.successes.append(key)
-
-        def is_open(self, key):
-            return (
-                self.open_after is not None
-                and self.crashes.count(key) >= self.open_after
-            )
-
-    def test_successes_reach_the_breaker_keyed_by_breaker_keys(self):
-        breaker = self._Recorder()
-        tasks = [(seed_polynomial, {}, seed) for seed in range(3)]
-        values = parallel._execute_tasks_resilient(
-            tasks, workers=1,
-            policy=ResiliencePolicy(
-                breaker=breaker, breaker_keys=("x", "y", "z"),
-            ),
-        )
-        assert values == [seed_polynomial(seed) for seed in range(3)]
-        assert sorted(breaker.successes) == ["x", "y", "z"]
-        assert breaker.crashes == []
-
-    def test_crashes_reach_the_breaker(self, tmp_path):
-        token = str(tmp_path / "crash")
-        breaker = self._Recorder()
-        tasks = [(crash_once_measurement, {"token": token}, 0)]
-        parallel._execute_tasks_resilient(
-            tasks, workers=2,
-            policy=ResiliencePolicy(
-                max_retries=3, backoff_base=0.0,
-                breaker=breaker, breaker_keys=("the-fp",),
-            ),
-        )
-        assert breaker.crashes == ["the-fp"]
-        assert breaker.successes == ["the-fp"]
-
-    def test_open_breaker_fails_fast_despite_retry_budget(self, tmp_path):
-        breaker = self._Recorder(open_after=2)
-        tasks = [(crash_always_measurement, {}, 0)]
-        with pytest.raises(TaskFailure) as excinfo:
-            parallel._execute_tasks_resilient(
-                tasks, workers=2,
-                policy=ResiliencePolicy(
-                    max_retries=50, backoff_base=0.0,
-                    breaker=breaker, breaker_keys=("the-fp",),
-                ),
-            )
-        # Opened at the second crash: far below the 51-attempt budget.
-        assert excinfo.value.attempts == 2
-        assert breaker.crashes == ["the-fp", "the-fp"]
-
-    def test_plain_failures_do_not_count_as_crashes(self):
-        breaker = self._Recorder(open_after=1)
-        tasks = [(always_fail_measurement, {}, 0)]
-        with pytest.raises(TaskFailure) as excinfo:
-            parallel._execute_tasks_resilient(
-                tasks, workers=2,
-                policy=ResiliencePolicy(
-                    max_retries=2, backoff_base=0.0,
-                    breaker=breaker, breaker_keys=("the-fp",),
-                ),
-            )
-        # The retry budget, not the breaker, ended this task: raising
-        # an exception is not killing a worker.
-        assert excinfo.value.attempts == 3
-        assert breaker.crashes == []
 
 
 class TestCheckpointResume:
@@ -477,6 +474,10 @@ class TestCheckpointResume:
             tasks, workers=1, policy=ResiliencePolicy(checkpoint=path),
         )
         assert values == [seed_polynomial(seed) for seed in range(3)]
+        # The torn tail was sealed, so the resumed records read back.
+        reloaded = SweepCheckpoint(path, tasks)
+        reloaded.close()
+        assert set(reloaded.completed) == {0, 1, 2}
 
     def test_replicate_supports_resilience_keywords(self, tmp_path):
         path = tmp_path / "replicate.jsonl"
