@@ -17,10 +17,11 @@ Exercises the PR 4 robustness machinery end to end, the way CI wants it
    JSONL checkpoint, must complete with values bit-identical to the
    plain serial sweep — and a resumed run must replay the checkpoint
    without recomputing.  Then a checkpointed sweep running in its own
-   process group is SIGKILLed (parent and workers) mid-run; re-running
-   it on the same checkpoint must recompute exactly the tasks the
-   journal lacks, return values bit-identical to the serial sweep, and
-   no process of the killed group may survive.
+   process group is SIGKILLed (parent and workers) mid-run; no process
+   of the killed group may survive, and re-running it in-process on the
+   same checkpoint must recompute exactly the tasks the journal lacks
+   and return values bit-identical to the serial sweep.  The test
+   suite runs this same phase (``tests/harness/test_checkpoint_kill.py``).
 
 Usage:
     python scripts/fault_smoke.py                 # writes into ./fault-smoke
@@ -54,13 +55,12 @@ from repro.util.jsonl import read_jsonl  # noqa: E402
 LOADS = [0.4, 0.8]
 REPLICATIONS = 3
 
-#: Runs :func:`killable_sweep` in a child process and prints its points.
+#: Runs :func:`killable_sweep` in a child process.
 CHILD = (
-    "import json, sys\n"
+    "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "import fault_smoke\n"
-    "points = fault_smoke.killable_sweep(sys.argv[2], sys.argv[3])\n"
-    "print(json.dumps([[p.value, p.interval.half_width] for p in points]))\n"
+    "fault_smoke.killable_sweep(sys.argv[2], sys.argv[3])\n"
 )
 
 
@@ -100,11 +100,11 @@ def slow_measurement(seed, load, log):
     return healthy_measurement(seed, load=load)
 
 
-def killable_sweep(checkpoint, log):
+def killable_sweep(checkpoint, log, workers=2):
     """The checkpointed sweep the SIGKILL phase runs in a child."""
     return run_sweep(
-        slow_measurement, parameter_grid(load=LOADS, log=[log]),
-        replications=REPLICATIONS, base_seed=0, workers=2,
+        slow_measurement, parameter_grid(load=LOADS, log=[str(log)]),
+        replications=REPLICATIONS, base_seed=0, workers=workers,
         checkpoint=checkpoint,
     )
 
@@ -217,30 +217,44 @@ def check_resilient_sweep(out_dir: Path) -> None:
         f"to bit-identical results; checkpoint resume replayed "
         f"{len(supervised) * 3} tasks without recomputing"
     )
-    check_killed_sweep(out_dir, serial)
 
 
-def check_killed_sweep(out_dir: Path, serial) -> None:
-    """SIGKILL a checkpointed sweep's process group, then resume it."""
+def check_killed_sweep(out_dir: Path) -> dict:
+    """SIGKILL a checkpointed sweep's process group, then resume it.
+
+    The sweep (two pool workers) runs in a child process leading its
+    own session; once its journal holds some completed tasks, the whole
+    group is SIGKILLed.  No group member may survive, and resuming in
+    this process on the same checkpoint must recompute exactly the
+    unjournaled tasks, with values and intervals bit-identical to a
+    serial sweep.  Returns the ``journaled`` and ``recomputed`` task
+    indices; raises ``AssertionError`` when a check fails.
+    """
+    # The journal's fingerprint names the measurement by module, so the
+    # resume must use the module under the name the child imported it.
+    import fault_smoke
+
     checkpoint = out_dir / "killed-checkpoint.jsonl"
     log = out_dir / "killed-runs.log"
     for path in (checkpoint, log):
         path.unlink(missing_ok=True)
-    command = [
-        sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
-        str(checkpoint), str(log),
-    ]
     tasks = len(LOADS) * REPLICATIONS
     child = subprocess.Popen(
-        command, start_new_session=True, stdout=subprocess.DEVNULL
+        [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
+         str(checkpoint), str(log)],
+        start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     deadline = time.monotonic() + 120.0
     try:
         while not journaled_indices(checkpoint):
             if child.poll() is not None:
-                raise SystemExit("killed sweep exited before the kill")
+                raise AssertionError(
+                    "killed sweep exited before the kill: "
+                    + child.stderr.read().decode(errors="replace")
+                )
             if time.monotonic() > deadline:
-                raise SystemExit("killed sweep journaled nothing in 120 s")
+                raise AssertionError("killed sweep journaled nothing in 120 s")
             time.sleep(0.01)
         os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
@@ -248,6 +262,8 @@ def check_killed_sweep(out_dir: Path, serial) -> None:
         if child.poll() is None:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
+        child.stderr.close()
+    assert child.returncode == -signal.SIGKILL, child.returncode
     journaled = journaled_indices(checkpoint)
     assert 0 < len(journaled) < tasks, journaled
     deadline = time.monotonic() + 10.0
@@ -255,28 +271,34 @@ def check_killed_sweep(out_dir: Path, serial) -> None:
         time.sleep(0.05)
     survivors = live_group_members(child.pid)
     assert not survivors, f"killed sweep left processes behind: {survivors}"
-    # Resume on the same checkpoint in a fresh process.
+
     log.unlink()
-    resumed = json.loads(subprocess.run(
-        command, check=True, capture_output=True, text=True,
-    ).stdout)
-    recomputed = [line.split() for line in log.read_text().splitlines()]
-    recomputed_indices = {
+    resumed = fault_smoke.killable_sweep(checkpoint, log, workers=1)
+    rerun = [line.split() for line in log.read_text().splitlines()]
+    recomputed = {
         LOADS.index(float(load)) * REPLICATIONS + int(seed)
-        for seed, load in recomputed
+        for seed, load in rerun
     }
-    assert len(recomputed) == len(recomputed_indices), recomputed
-    assert recomputed_indices == set(range(tasks)) - journaled, (
+    assert len(rerun) == len(recomputed), rerun
+    assert recomputed == set(range(tasks)) - journaled, (
         "resume recomputed a journaled task or skipped a missing one"
     )
-    assert resumed == [
-        [point.value, point.interval.half_width] for point in serial
+    assert journaled_indices(checkpoint) == set(range(tasks))
+    serial = run_sweep(
+        healthy_measurement, parameter_grid(load=LOADS),
+        replications=REPLICATIONS, base_seed=0,
+    )
+    assert [
+        (point.value, point.interval.half_width) for point in resumed
+    ] == [
+        (point.value, point.interval.half_width) for point in serial
     ], (resumed, serial)
     print(
         f"killed sweep: SIGKILLed its process group with "
         f"{len(journaled)}/{tasks} tasks journaled; resume recomputed "
         f"only the other {len(recomputed)} to bit-identical results"
     )
+    return {"journaled": journaled, "recomputed": recomputed}
 
 
 def main() -> None:
@@ -290,6 +312,7 @@ def main() -> None:
     check_parity(args.seed)
     write_degradation(args.out_dir)
     check_resilient_sweep(args.out_dir)
+    check_killed_sweep(args.out_dir)
     print("fault smoke: OK")
 
 

@@ -14,9 +14,9 @@ under a :class:`ResiliencePolicy` while guaranteeing:
   run as lanes of one vectorized fleet kernel (see
   :func:`_fleet_prepass`), bit-identical to their scalar runs;
 * **serial when a pool cannot help or cannot work** — with
-  ``workers=1``, a single task, an unpicklable measurement, or a pool
-  that fails to spawn (restricted containers, daemonic parents), the
-  tasks run in-process;
+  ``workers=1``, a single unsupervised task (no timeout, no retries),
+  an unpicklable measurement, or a pool that fails to spawn
+  (restricted containers, daemonic parents), the tasks run in-process;
 * **supervision on request** — the policy's defaults make a single
   attempt per task, enforce no timeout and journal nothing, so a task's
   own exception (or a worker crash, as ``BrokenProcessPool``)
@@ -347,9 +347,14 @@ class SweepCheckpoint:
         self.total = len(tasks)
         self.completed: Dict[int, Tuple[float, float]] = {}
         had_header = self.path.exists() and self._load()
+        torn = (
+            self.path.exists() and self.path.stat().st_size > 0
+            and not self._ends_with_newline()
+        )
         self._handle = open(self.path, "a", encoding="utf-8")
-        if had_header and not self._ends_with_newline():
-            # Seal a torn tail so the next record starts on its own line.
+        if torn:
+            # Seal a torn tail (a record, or the header itself) so the
+            # next write starts on a fresh line.
             self._handle.write("\n")
         if not had_header:
             append_jsonl(self._handle, {
@@ -529,9 +534,10 @@ def _execute_tasks_resilient(
         if not backlog:
             return [float(value) for value in values]
         # A lone task gains nothing from a pool, unless only a pool can
-        # enforce its timeout.
+        # enforce its timeout or survive its crash for a retry.
         if workers == 1 or (
             len(backlog) == 1 and policy.task_timeout is None
+            and policy.max_retries == 0
         ):
             return serial()
         try:

@@ -117,17 +117,13 @@ def replicate(
             identical to the serial path for any value; see
             :mod:`repro.harness.parallel`.
     """
-    if workers != 1:
-        from repro.harness.parallel import _execute_tasks
-        tasks = [
-            (_SeedOnly(experiment), {}, base_seed + index)
-            for index in range(num_replications)
-        ]
-        return t_interval(_execute_tasks(tasks, workers), confidence)
-    results = [
-        experiment(base_seed + index) for index in range(num_replications)
+    from repro.harness.parallel import _execute_tasks
+
+    tasks = [
+        (_SeedOnly(experiment), {}, base_seed + index)
+        for index in range(num_replications)
     ]
-    return t_interval(results, confidence)
+    return t_interval(_execute_tasks(tasks, workers), confidence)
 
 
 class _SeedOnly:

@@ -18,8 +18,8 @@ import numpy as np
 from repro.network.packet import Packet, PacketFactory
 
 #: Version of the random stream every generator draws.  Persisted
-#: identities (sweep checkpoints, service cache keys, repro files)
-#: record it, so results drawn under another stream are never reused.
+#: identities (sweep checkpoints, repro files) record it, so results
+#: drawn under another stream are never reused.
 TRAFFIC_STREAM = 2
 
 #: Cycles drawn per block (part of stream 2's definition).

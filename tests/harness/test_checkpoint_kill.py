@@ -1,158 +1,39 @@
 """Kill -9 drill for checkpointed sweeps.
 
-A checkpointed ``run_sweep`` with two pool workers runs in a child
-process that leads its own session.  Once the checkpoint journal holds
-some, but not all, completed tasks, the whole process group — parent
-and workers — is SIGKILLed.  Re-running the same sweep on the same
-checkpoint path must not recompute any journaled task and must return
-values bit-identical to an uninterrupted serial run; and no process of
-the killed group may survive the kill.
+Runs the drill of ``scripts/fault_smoke.py`` (see
+:func:`fault_smoke.check_killed_sweep`): a checkpointed ``run_sweep``
+with two pool workers runs in a child process that leads its own
+session, and once the journal holds some, but not all, completed tasks
+the whole process group — parent and workers — is SIGKILLed.  No
+process of the group may survive; re-running the sweep in-process on
+the same checkpoint must recompute only the unjournaled tasks and
+return values bit-identical to an uninterrupted serial run.
 """
 
 import os
-import signal
-import subprocess
-import sys
-import time
+from pathlib import Path
 
 import pytest
-
-from repro.harness.parallel import SweepCheckpoint
-from repro.harness.sweep import parameter_grid, run_sweep
-from repro.network.engine import Simulation
-from repro.switches import SwizzleSwitch2D
-from repro.traffic import UniformRandomTraffic
-from repro.util.jsonl import read_jsonl
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "killpg") and os.path.isdir("/proc")),
     reason="the drill kills a process group and inspects /proc",
 )
 
-LOADS = (0.3, 0.7)
-REPLICATIONS = 4
-TASKS = len(LOADS) * REPLICATIONS
-#: Per-task sleep: long enough that the kill lands mid-sweep.
-DELAY_S = 0.25
-
-CHILD = (
-    "import importlib, sys\n"
-    "module = importlib.import_module(sys.argv[1])\n"
-    "module.run_checkpointed(sys.argv[2], sys.argv[3], workers=2)\n"
-)
+SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
 
-def slow_measurement(seed, load, log):
-    """Log the task, sleep, then run a small seeded simulation."""
-    with open(log, "a", encoding="utf-8") as handle:
-        handle.write(f"{seed} {load}\n")
-    time.sleep(DELAY_S)
-    traffic = UniformRandomTraffic(4, load=load, seed=seed)
-    result = Simulation(SwizzleSwitch2D(4), traffic, warmup_cycles=10).run(40)
-    return result.throughput_packets_per_cycle
+@pytest.fixture
+def fault_smoke(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import fault_smoke
+
+    return fault_smoke
 
 
-def run_checkpointed(checkpoint, log, workers):
-    """The sweep under test (also the child process's entry point)."""
-    grid = parameter_grid(load=list(LOADS), log=[log])
-    return run_sweep(
-        slow_measurement, grid, replications=REPLICATIONS,
-        workers=workers, checkpoint=checkpoint,
-    )
-
-
-def _journaled(checkpoint):
-    return {
-        row["index"] for row in read_jsonl(checkpoint, missing_ok=True)
-        if isinstance(row, dict) and isinstance(row.get("index"), int)
-    }
-
-
-def _live_group_members(pgid):
-    """Pids of non-zombie processes whose process group is ``pgid``."""
-    live = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
-                stat = handle.read()
-        except OSError:
-            continue  # exited while we looked
-        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
-        if int(pgrp) == pgid and state not in ("Z", "X"):
-            live.append(int(entry))
-    return live
-
-
-def test_sigkilled_sweep_resumes_bit_identically(tmp_path):
-    checkpoint = str(tmp_path / "sweep.jsonl")
-    log = str(tmp_path / "runs.log")
-    # The child imports this very module, so both runs share the
-    # measurement's identity (and hence the journal's fingerprint).
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        path for path in sys.path if path and os.path.isdir(path)
-    )
-    child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, __name__, checkpoint, log],
-        env=env, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-    )
-    pgid = child.pid
-    deadline = time.monotonic() + 120.0
-    try:
-        while True:
-            done = _journaled(checkpoint)
-            if done:
-                break
-            if child.poll() is not None:
-                pytest.fail(
-                    "sweep exited before the kill: "
-                    + child.stderr.read().decode(errors="replace")
-                )
-            if time.monotonic() > deadline:
-                pytest.fail("no task was journaled within 120 s")
-            time.sleep(0.01)
-        os.killpg(pgid, signal.SIGKILL)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:
-            os.killpg(pgid, signal.SIGKILL)
-            child.wait()
-        child.stderr.close()
-    assert child.returncode == -signal.SIGKILL
-    journaled = _journaled(checkpoint)
-    assert 1 <= len(journaled) < TASKS, journaled
-
-    # The kill took the pool workers with it.
-    deadline = time.monotonic() + 10.0
-    while _live_group_members(pgid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _live_group_members(pgid) == []
-
-    os.remove(log)
-    resumed = run_checkpointed(checkpoint, log, workers=1)
-    with open(log, encoding="utf-8") as handle:
-        rerun = [line.split() for line in handle.read().splitlines()]
-    recomputed = {
-        LOADS.index(float(load)) * REPLICATIONS + int(seed)
-        for seed, load in rerun
-    }
-    assert len(rerun) == len(recomputed)
-    assert recomputed == set(range(TASKS)) - journaled
-
-    serial = run_checkpointed(None, str(tmp_path / "serial.log"), workers=1)
-    assert [p.value for p in resumed] == [p.value for p in serial]
-    assert [p.interval.half_width for p in resumed] == [
-        p.interval.half_width for p in serial
-    ]
-    # The resumed journal now holds every task.
-    grid = parameter_grid(load=list(LOADS), log=[log])
-    tasks = [
-        (slow_measurement, dict(parameters), seed)
-        for parameters in grid for seed in range(REPLICATIONS)
-    ]
-    reloaded = SweepCheckpoint(checkpoint, tasks)
-    reloaded.close()
-    assert set(reloaded.completed) == set(range(TASKS))
+def test_sigkilled_sweep_resumes_bit_identically(tmp_path, fault_smoke):
+    outcome = fault_smoke.check_killed_sweep(tmp_path)
+    tasks = len(fault_smoke.LOADS) * fault_smoke.REPLICATIONS
+    assert outcome["journaled"]
+    assert outcome["journaled"].isdisjoint(outcome["recomputed"])
+    assert outcome["journaled"] | outcome["recomputed"] == set(range(tasks))

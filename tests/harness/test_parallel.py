@@ -283,6 +283,17 @@ class TestResiliencePolicy:
             os.path.exists(f"{token}.{seed}") for seed in range(4)
         )
 
+    def test_lone_crashing_task_is_isolated_and_retried(self, tmp_path):
+        # A single pending task with a retry budget still runs on a
+        # pool: in-process, its crash would take the caller down.
+        token = str(tmp_path / "crash")
+        points = run_sweep(
+            crash_once_measurement, [{"token": token}], base_seed=5,
+            workers=2, max_retries=1, backoff_base=0.0,
+        )
+        assert points[0].value == seed_polynomial(5)
+        assert os.path.exists(f"{token}.5")
+
     def test_hung_task_times_out_and_retries(self, tmp_path):
         token = str(tmp_path / "hang")
         grid = parameter_grid(token=[token])
@@ -478,6 +489,19 @@ class TestCheckpointResume:
         reloaded = SweepCheckpoint(path, tasks)
         reloaded.close()
         assert set(reloaded.completed) == {0, 1, 2}
+
+    def test_torn_header_is_sealed(self, tmp_path):
+        path = tmp_path / "torn-header.jsonl"
+        path.write_text('{"format": "repro.checkpoint/v1", "finger')
+        tasks = [(seed_polynomial, {}, seed) for seed in range(2)]
+        values = parallel._execute_tasks_resilient(
+            tasks, workers=1, policy=ResiliencePolicy(checkpoint=path),
+        )
+        assert values == [seed_polynomial(seed) for seed in range(2)]
+        # The fresh header went on its own line, so the journal reopens.
+        reloaded = SweepCheckpoint(path, tasks)
+        reloaded.close()
+        assert set(reloaded.completed) == {0, 1}
 
     def test_replicate_supports_resilience_keywords(self, tmp_path):
         path = tmp_path / "replicate.jsonl"
