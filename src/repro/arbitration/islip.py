@@ -25,6 +25,7 @@ differential parity test pins that equivalence against
 :class:`repro.arbitration.RoundRobinArbiter`.
 """
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arbitration.matching import Matching, WeightMatrix
@@ -59,13 +60,6 @@ class ISLIPArbiter:
         #: Per-input round-robin pointer used in the accept stage.
         self.accept_pointers = [0] * num_ports
 
-    def _first_at_or_after(self, pointer: int, candidates: set) -> int:
-        for offset in range(self.num_ports):
-            slot = (pointer + offset) % self.num_ports
-            if slot in candidates:
-                return slot
-        raise AssertionError("unreachable: candidates is non-empty")
-
     def match(
         self,
         weights: WeightMatrix,
@@ -77,40 +71,47 @@ class ISLIPArbiter:
         (the magnitude is ignored — iSLIP sees only request presence).
         Returns input -> output; commits pointer updates for matches
         made in iteration 1.
+
+        The request matrix is read once: each output keeps an ascending
+        list of its requesters, and "first at or after the pointer" is
+        a :func:`bisect.bisect_left` into it followed by a cyclic walk
+        past inputs already matched in an earlier iteration.
         """
         n = self.num_ports
         if len(weights) != n or any(len(row) != n for row in weights):
             raise ValueError(f"weights must be {n}x{n}")
 
-        matching: Matching = {}
-        matched_outputs = set()
-        for iteration in range(self.iterations):
-            # Request: unmatched inputs request all outputs with
-            # backlogged VOQs that are still unmatched.
-            requests: Dict[int, set] = {}
-            for out in range(n):
-                if out in matched_outputs:
-                    continue
-                requesting = {
-                    inp
-                    for inp in range(n)
-                    if inp not in matching and weights[inp][out] > 0
-                }
-                if requesting:
-                    requests[out] = requesting
-            if not requests:
-                break
+        requesters: List[List[int]] = [[] for _ in range(n)]
+        for inp, row in enumerate(weights):
+            if max(row) > 0:
+                for out, weight in enumerate(row):
+                    if weight > 0:
+                        requesters[out].append(inp)
 
-            # Grant: each output picks the requesting input at or after
-            # its grant pointer (the pointer does not move yet).
+        grant_pointers = self.grant_pointers
+        accept_pointers = self.accept_pointers
+        matching: Matching = {}
+        open_outputs = [out for out in range(n) if requesters[out]]
+        for iteration in range(self.iterations):
+            # Request + grant: each unmatched output grants the first
+            # unmatched requester at or after its grant pointer (the
+            # pointer does not move yet).
             grants: Dict[int, List[int]] = {}
             grant_pairs: List[Tuple[int, int]] = []
-            for out, requesting in requests.items():
-                inp = self._first_at_or_after(
-                    self.grant_pointers[out], requesting
-                )
+            for out in open_outputs:
+                candidates = requesters[out]
+                count = len(candidates)
+                start = bisect_left(candidates, grant_pointers[out] % n)
+                for step in range(count):
+                    inp = candidates[(start + step) % count]
+                    if inp not in matching:
+                        break
+                else:
+                    continue  # every requester is matched already
                 grants.setdefault(inp, []).append(out)
                 grant_pairs.append((out, inp))
+            if not grants:
+                break
             if observer is not None:
                 observer(iteration, "grant", grant_pairs)
 
@@ -118,20 +119,18 @@ class ISLIPArbiter:
             # after its accept pointer; iteration-1 accepts commit both
             # pointers (the desynchronization rule).
             accept_pairs: List[Tuple[int, int]] = []
-            made_progress = False
             for inp, granting in grants.items():
-                out = self._first_at_or_after(
-                    self.accept_pointers[inp], set(granting)
-                )
+                pick = bisect_left(granting, accept_pointers[inp] % n)
+                out = granting[pick if pick < len(granting) else 0]
                 matching[inp] = out
-                matched_outputs.add(out)
                 accept_pairs.append((inp, out))
-                made_progress = True
                 if iteration == 0:
-                    self.grant_pointers[out] = (inp + 1) % n
-                    self.accept_pointers[inp] = (out + 1) % n
+                    grant_pointers[out] = (inp + 1) % n
+                    accept_pointers[inp] = (out + 1) % n
             if observer is not None:
                 observer(iteration, "accept", accept_pairs)
-            if not made_progress:
-                break
+            matched_outputs = set(matching.values())
+            open_outputs = [
+                out for out in open_outputs if out not in matched_outputs
+            ]
         return matching

@@ -438,9 +438,10 @@ class InvariantChecker:
                 continue
             counts = counters.counts()
             halvings = counters.halvings
-            integer_bank = all(isinstance(value, int) for value in counts)
-            if integer_bank and any(
-                value < 0 or value > counters.max_count for value in counts
+            # A sum stays an int only when every counter is one.
+            integer_bank = isinstance(sum(counts), int)
+            if integer_bank and counts and (
+                min(counts) < 0 or max(counts) > counters.max_count
             ):
                 self._fail(
                     switch, "clrg_counters", cycle,

@@ -196,10 +196,15 @@ class MatchingInvariantChecker:
                 )
         self._prev_connections = dict(connections)
 
-        # 4. VOQ occupancy rows match the actual queue lengths.
+        # 4. VOQ occupancy rows match the actual queue lengths (whole
+        # rows compared at once; the first mismatch is located only
+        # when a row differs).
         for stage in switch.stages:
+            lengths = list(map(len, stage.voqs))
+            if stage.occupancy_row == lengths:
+                continue
             for output, count in enumerate(stage.occupancy_row):
-                actual = len(stage.voqs[output])
+                actual = lengths[output]
                 if count != actual:
                     self._fail(
                         switch, "voq_occupancy", cycle,

@@ -120,8 +120,9 @@ def _fleet_prepass(
 
     Returns per-task ``(values, wall_seconds, lanes)`` lists — ``None``
     value entries mean the task was not batched (no plan or a singleton
-    group) and must run on the scalar path.  An exception raised by the
-    fleet kernel propagates.  Each batched task's wall time is its
+    group) and must run on the scalar path.  ``fleet_plan`` declines by
+    returning ``None``; an exception it raises, like one raised by the
+    fleet kernel, propagates.  Each batched task's wall time is its
     group's wall clock divided by the lane count; ``lanes`` records
     that count (1 for unbatched tasks), feeding the telemetry's
     fleet-occupancy view.
@@ -138,10 +139,7 @@ def _fleet_prepass(
         plan_of = getattr(measurement, "fleet_plan", None)
         if plan_of is None:
             continue
-        try:
-            plan = plan_of(seed=seed, **parameters)
-        except Exception:
-            continue  # scalar path will surface any genuine error
+        plan = plan_of(seed=seed, **parameters)
         if plan is None:
             continue
         key = (

@@ -461,6 +461,8 @@ def run_micro_benchmark(
 ) -> Tuple[Dict[str, float], Dict[str, object]]:
     """Time a short saturation run of the fast kernel on ``config``.
 
+    The switch is the one :func:`repro.switches.make_switch` builds, so
+    a VOQ config (iSLIP / MWM) times :class:`repro.switches.VOQSwitch`.
     Pre-stages uniform-random traffic (so RNG cost stays outside the
     timed region, mirroring ``scripts/bench_kernel.py``), runs
     ``trials`` identical trials with GC paused, and keeps the best.
@@ -470,7 +472,7 @@ def run_micro_benchmark(
     """
     import gc
 
-    from repro.core.hirise import HiRiseSwitch
+    from repro.switches import make_switch
     from repro.traffic import UniformRandomTraffic
 
     if cycles < 1 or trials < 1:
@@ -490,8 +492,14 @@ def run_micro_benchmark(
                 list(traffic.packets_for_cycle(cycle))
                 for cycle in range(cycles)
             ]
-            switch = HiRiseSwitch(config, perf=perf)
-            inject_many = switch.inject_many
+            switch = make_switch(config, perf=perf)
+            inject_many = getattr(switch, "inject_many", None)
+            if inject_many is None:
+                inject = switch.inject
+
+                def inject_many(packets):
+                    for packet in packets:
+                        inject(packet)
             step = switch.step
             start = time.perf_counter()
             for cycle in range(cycles):

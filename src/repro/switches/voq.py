@@ -189,10 +189,7 @@ class VOQSwitch(SwitchModel):
         if cycle % perf.stride:
             return self._step(cycle)
         perf.cycles_sampled += 1
-        t0 = time.perf_counter_ns()
-        ejected = self._step(cycle)
-        perf.add("step", time.perf_counter_ns() - t0, len(ejected))
-        return ejected
+        return self._step(cycle, perf)
 
     def occupancy(self) -> int:
         return sum(stage.total_occupancy() for stage in self.stages)
@@ -206,7 +203,13 @@ class VOQSwitch(SwitchModel):
     # ------------------------------------------------------------------
     # Cycle phases
     # ------------------------------------------------------------------
-    def _step(self, cycle: int) -> List[Flit]:
+    def _step(self, cycle: int, perf=None) -> List[Flit]:
+        """One cycle; ``perf`` (sampled cycles only) times each phase.
+
+        Phases are reported with the kernels' names: ``transmit``,
+        ``refill``, and ``arbitrate`` (the scheduler's match, with the
+        weight matrix it reads and the connections it commits).
+        """
         tracer = self._tracer
         if tracer is not None:
             tracer.cycle = cycle
@@ -215,18 +218,29 @@ class VOQSwitch(SwitchModel):
             due = cursor.take(cycle)
             if due:
                 apply_fault_events(self, due)
+        if perf is not None:
+            t1 = time.perf_counter_ns()
         ejected = self._transmit(cycle)
+        if perf is not None:
+            t2 = time.perf_counter_ns()
         stuck = self.stuck_inputs
         for stage in self.stages:
             if stage.input_id not in stuck:
                 stage.refill()
+        if perf is not None:
+            t3 = time.perf_counter_ns()
         cooling_inputs = set()
         cooling_outputs = set()
         for flit in ejected:
             if flit.is_tail:
                 cooling_inputs.add(flit.src)
                 cooling_outputs.add(flit.dst)
-        self._schedule(cycle, cooling_inputs, cooling_outputs)
+        granted = self._schedule(cycle, cooling_inputs, cooling_outputs)
+        if perf is not None:
+            t4 = time.perf_counter_ns()
+            perf.add("transmit", t2 - t1, len(ejected))
+            perf.add("refill", t3 - t2)
+            perf.add("arbitrate", t4 - t3, granted)
         if self._invariants is not None:
             self._invariants.after_step(self, cycle, ejected)
         return ejected
@@ -259,8 +273,10 @@ class VOQSwitch(SwitchModel):
             del self.connections[inp]
         return ejected
 
-    def _schedule(self, cycle, cooling_inputs, cooling_outputs) -> None:
+    def _schedule(self, cycle, cooling_inputs, cooling_outputs) -> int:
         """Match idle inputs to free outputs over head-of-line ages.
+
+        Returns the number of connections granted.
 
         The weight of (input, output) is the age of the VOQ's head flit
         plus one — the oldest-cell-first weighting, which MWM turns into
@@ -300,7 +316,7 @@ class VOQSwitch(SwitchModel):
                 any_request = True
             weights.append(row)
         if not any_request:
-            return
+            return 0
 
         tracer = self._tracer
         observer = None
@@ -330,3 +346,4 @@ class VOQSwitch(SwitchModel):
             if tracer is not None:
                 emit = tracer.emit
                 emit(P2_GRANT, out, inp, out, -1)
+        return len(matching)

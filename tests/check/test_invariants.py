@@ -189,6 +189,41 @@ class TestCorruptedKernels:
             simulation.run(measure_cycles=2)
         assert excinfo.value.check == "clrg_counters"
 
+    def test_negative_clrg_counter_is_detected(self):
+        config = small_config(arbitration=ArbitrationScheme.CLRG)
+        checker = InvariantChecker()
+        switch = HiRiseSwitch(config, invariants=checker)
+        traffic = UniformRandomTraffic(8, 0.6, seed=3)
+        simulation = Simulation(switch, traffic, warmup_cycles=0)
+        simulation.run(measure_cycles=5)
+        switch.subblock_arbiters[2].counters._counts[3] = -1
+        with pytest.raises(InvariantViolation) as excinfo:
+            simulation.run(measure_cycles=2)
+        assert excinfo.value.check == "clrg_counters"
+        assert excinfo.value.resources == (2,)
+
+    def test_corrupted_voq_counter_is_detected(self):
+        from repro.check.matching import MatchingInvariantChecker
+        from repro.switches import make_switch
+
+        checker = MatchingInvariantChecker()
+        switch = make_switch(
+            small_config(arbitration=ArbitrationScheme.ISLIP),
+            invariants=checker,
+        )
+        traffic = UniformRandomTraffic(8, 0.6, seed=3)
+        simulation = Simulation(switch, traffic, warmup_cycles=0)
+        simulation.run(measure_cycles=10)
+        # Move one count between two of stage 3's counters: the row total
+        # (and so flit conservation) is unchanged, the rows are not.
+        row = switch.stages[3].occupancy_row
+        row[2] += 1
+        row[5] -= 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            simulation.run(measure_cycles=2)
+        assert excinfo.value.check == "voq_occupancy"
+        assert excinfo.value.resources == (3, 2)
+
     @pytest.mark.parametrize("kernel_cls", KERNELS)
     def test_broken_lrg_order_is_detected(self, kernel_cls):
         checker = InvariantChecker()

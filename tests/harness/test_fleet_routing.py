@@ -220,3 +220,14 @@ def test_fleet_failure_raises_instead_of_running_scalar(monkeypatch):
     monkeypatch.setattr(fleet, "run_fleet_plans", broken_fleet)
     with pytest.raises(RuntimeError, match="fleet kernel bug"):
         replicate(make_measurement(), num_replications=3, base_seed=4)
+
+
+def test_fleet_plan_failure_propagates_out_of_run_sweep(monkeypatch):
+    # fleet_plan declines by returning None; an exception it raises is a
+    # bug and must not be skipped over into the scalar path.
+    def broken_plan(self, seed=0, **overrides):
+        raise RuntimeError("fleet_plan bug")
+
+    monkeypatch.setattr(SimulationMeasurement, "fleet_plan", broken_plan)
+    with pytest.raises(RuntimeError, match="fleet_plan bug"):
+        run_sweep(make_measurement(), GRID, replications=2)

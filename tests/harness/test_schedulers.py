@@ -87,6 +87,51 @@ class TestCompareSchedulers:
             build_traffic("nope", 8, 0.2, 4, 1)
 
 
+#: Per-cell results of the pinned radix-64 comparison below, recorded
+#: with the original (unoptimised) Hungarian solve and iSLIP match.  The
+#: matchers must reproduce them exactly; any drift means a matching
+#: changed.
+PINNED_RADIX64 = {
+    "clrg": (200, 34.041666666666664, 11.49, 25.0, 0.9191176470588235),
+    "islip1": (228, 37.916666666666664, 10.644736842105264, 28.0,
+               0.9511124121779859),
+    "islip4": (230, 38.416666666666664, 10.61304347826087, 27.0,
+               0.9544601616628176),
+    "mwm": (225, 38.25, 11.124444444444444, 23.0, 0.9273336752637749),
+}
+PINNED_RADIX64_PER_INPUT_SHA256 = (
+    "4156e4a4d5944bcfb548353e035ed28fb337886ff3f323615f7e4964965ef2d9"
+)
+
+
+def test_pinned_radix64_comparison():
+    import hashlib
+
+    comparison = compare_schedulers(
+        radix=64, layers=4, channels=4, load=0.3, seed=7,
+        warmup_cycles=8, measure_cycles=24,
+        schedulers=tuple(PINNED_RADIX64), traffic=("uniform",),
+        invariants=True, saturation=False,
+    )
+    row = comparison["matrix"]["uniform"]
+    for name, expected in PINNED_RADIX64.items():
+        cell = row[name]
+        assert cell["invariant_cycles_checked"] == 32
+        assert (
+            cell["packets_ejected"],
+            cell["throughput_flits_per_cycle"],
+            cell["avg_latency_cycles"],
+            cell["p99_latency_cycles"],
+            cell["jain"],
+        ) == expected, name
+    per_input = json.dumps(
+        {name: cell["per_input_ejected"] for name, cell in row.items()},
+        sort_keys=True,
+    )
+    assert (hashlib.sha256(per_input.encode()).hexdigest()
+            == PINNED_RADIX64_PER_INPUT_SHA256)
+
+
 class TestVOQSweepRouting:
     def test_run_sweep_crosses_voq_and_paper_schemes(self):
         # The arbitration axis routes each point through make_switch:

@@ -269,6 +269,19 @@ class TestMicroBenchmark:
         )
         assert perf.time_ns.get("inject", 0) > 0
 
+    @pytest.mark.parametrize("arbitration", ["islip", "mwm"])
+    def test_voq_run_splits_the_scheduler_phase(self, arbitration):
+        config = HiRiseConfig(
+            radix=8, layers=2, channel_multiplicity=2,
+            arbitration=arbitration,
+        )
+        perf = PerfCounters(stride=4)
+        run_micro_benchmark(config, cycles=40, trials=1, perf=perf)
+        assert perf.kernel == "VOQSwitch"
+        assert perf.cycles_sampled == 10
+        assert set(perf.time_ns) == {"transmit", "refill", "arbitrate"}
+        assert perf.ops["arbitrate"] > 0
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             run_micro_benchmark(CONFIG, cycles=0)

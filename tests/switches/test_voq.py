@@ -130,6 +130,28 @@ class TestVOQSwitch:
             assert switch.occupancy() == 0
             assert result.packets_injected == result.packets_ejected
 
+    @pytest.mark.parametrize("arbitration", ["islip", "mwm"])
+    def test_perf_counters_time_phases_without_changing_results(
+        self, arbitration
+    ):
+        from repro.obs.perf import PerfCounters
+
+        results = []
+        for perf in (None, PerfCounters(stride=1)):
+            switch = make_switch(voq_config(arbitration), perf=perf)
+            traffic = UniformRandomTraffic(8, 0.5, seed=9)
+            results.append(
+                Simulation(switch, traffic, warmup_cycles=10).run(200)
+            )
+        plain, timed = results
+        for field in ("packets_ejected", "flits_ejected", "packet_latencies",
+                      "per_input_ejected", "per_output_ejected"):
+            assert getattr(plain, field) == getattr(timed, field)
+        assert perf.cycles_sampled == perf.cycles_total == 210
+        assert set(perf.time_ns) == {"transmit", "refill", "arbitrate"}
+        # Warm-up flits count as transmit ops too.
+        assert perf.ops["transmit"] >= timed.flits_ejected > 0
+
     def test_voq_eliminates_head_of_line_blocking(self):
         # Input 0 alternates between a contested output and a free one;
         # with per-output queues the free-output packets overtake the
