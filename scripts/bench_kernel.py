@@ -530,30 +530,29 @@ def stage_fleet_traffic(num_lanes: int, cycles: int):
     """Per-cycle packed record batches for every lane, built off the clock.
 
     Mirrors the scalar protocol, where fully-constructed ``Packet``
-    objects are staged before the clock starts: here each cycle's
-    per-lane arrivals are packed by the fleet's own ``pack_arrivals``
+    objects are staged before the clock starts: every lane's arrivals
+    for all ``cycles`` are packed by the fleet's own ``stage_arrivals``
     into the kernel's ``inject_packed`` form (queue ids + int32 ring
-    records + per-lane flit totals), so the timed region isolates the
-    batched inject + arbitrate kernel.
+    records + per-lane flit totals), then sliced and stamped per cycle,
+    so the timed region isolates the batched inject + arbitrate kernel.
     """
-    import numpy as np
-
-    from repro.core.fleet import pack_arrivals
+    from repro.core.fleet import stage_arrivals
 
     traffics = [
         UniformRandomTraffic(RADIX, load=1.0, seed=FLEET_SEED + lane)
         for lane in range(num_lanes)
     ]
-    flits = np.array(
-        [traffic.factory.num_flits for traffic in traffics], dtype=np.int64
+    gid, recs, bounds, _, lane_flits = stage_arrivals(
+        traffics, RADIX, 0, cycles
     )
     staged = []
     for cycle in range(cycles):
-        packed = pack_arrivals(
-            RADIX, [traffic.arrivals(cycle) for traffic in traffics],
-            flits, cycle,
+        lo, hi = bounds[cycle], bounds[cycle + 1]
+        recs[lo:hi, 2] = cycle
+        staged.append(
+            (gid[lo:hi], recs[lo:hi], lane_flits[cycle]) if hi > lo
+            else None
         )
-        staged.append(None if packed is None else packed[:3])
     return staged
 
 
@@ -864,13 +863,6 @@ def main(argv=None) -> int:
             print(f"wrote {args.output}")
 
     if run_fleet:
-        try:
-            from repro.core.fleet import FLEET_AVAILABLE
-        except ImportError:
-            FLEET_AVAILABLE = False
-        if not FLEET_AVAILABLE:
-            print("fleet benchmark skipped: numpy not available")
-            return exit_code
         print(
             f"fleet benchmark ({FLEET_LANES} lanes x {fleet_cycles} "
             f"cycles x {trials} trials):"

@@ -22,7 +22,6 @@ from repro.core.channels import (
 from repro.core.hirise import HiRiseSwitch
 from repro.core.reference import ReferenceHiRiseSwitch
 from repro.core.fleet import (
-    FLEET_AVAILABLE,
     FleetKernel,
     FleetSimulation,
     LanePlan,
@@ -42,7 +41,6 @@ __all__ = [
     "OutputBinnedAllocation",
     "PriorityAllocation",
     "make_allocation",
-    "FLEET_AVAILABLE",
     "FleetKernel",
     "FleetSimulation",
     "LanePlan",

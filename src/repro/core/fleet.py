@@ -19,8 +19,8 @@ for field — including the deterministic latency-sample decimation.
 The mapping from scalar semantics to array ops:
 
 * the scalar per-port ascending scans (transmit, refill, request
-  collection) become row-major ``np.nonzero`` orders, which sort by
-  ``(lane, port)`` exactly like the scans;
+  collection) become ascending flat ``lane * N + port`` indices, which
+  sort by ``(lane, port)`` exactly like the scans;
 * LRG recency keys are distinct, so every scalar ``min()`` pick has a
   unique argmin and the vectorized segment-minimum picks the same
   winner;
@@ -34,21 +34,18 @@ The mapping from scalar semantics to array ops:
   kernel are provable no-ops (nothing mutates between the request scan
   and the checks) and are omitted.
 
-numpy is an optional extra for this subsystem (``pip install
-repro[fleet]``): the module imports without numpy (``FLEET_AVAILABLE``
-is False) and every caller — harness routing, the fuzzer's ``--fleet``
-mode, the benchmarks — falls back to the scalar kernel when it is
-absent.
+The hot loop reduces masks over flat ``(B*N)`` views with
+``mask.nonzero()[0]`` — the ``lane * N + port`` base every gather needs;
+the lane is ``base // N`` only where wanted — and moves whole rows (ring
+records, the front cache, a port's V VC fields) as single void items
+through :func:`_rows` views.
 """
 
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.channels import make_allocation
 from repro.core.config import ArbitrationScheme, HiRiseConfig
@@ -86,9 +83,7 @@ from repro.obs.trace import (
     REASON_RESOURCE_COOLING,
     VIA_BLOCK,
 )
-
-#: Whether the fleet kernel can run at all (numpy importable).
-FLEET_AVAILABLE = np is not None
+from repro.traffic.base import BLOCK_CYCLES
 
 #: wkey encoding: phase-1 winners iterate ints, then channels, then
 #: pairs (dict-insertion order of the scalar kernel); within a kind the
@@ -111,11 +106,7 @@ def fleet_supports(config: HiRiseConfig) -> bool:
     schemes (iSLIP / MWM), which run on ``repro.switches.VOQSwitch``
     rather than the Hi-Rise kernel family.
     """
-    return (
-        FLEET_AVAILABLE
-        and config.qos_weights is None
-        and not config.uses_voq
-    )
+    return config.qos_weights is None and not config.uses_voq
 
 
 def _group_starts(g_sorted):
@@ -123,7 +114,7 @@ def _group_starts(g_sorted):
     brk = np.empty(g_sorted.size, dtype=bool)
     brk[0] = True
     np.not_equal(g_sorted[1:], g_sorted[:-1], out=brk[1:])
-    starts = np.flatnonzero(brk)
+    starts = brk.nonzero()[0]
     counts = np.empty(starts.size, dtype=np.int64)
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = g_sorted.size - starts[-1]
@@ -133,67 +124,68 @@ def _group_starts(g_sorted):
 def _check_ports(num_ports: int, srcs, dsts) -> None:
     """Raise ``ValueError`` on a port outside ``[0, num_ports)``."""
     for name, ports in (("source", srcs), ("destination", dsts)):
-        if ports.min() < 0 or ports.max() >= num_ports:
+        if ports.size and (ports.min() < 0 or ports.max() >= num_ports):
             bad = int(ports[(ports < 0) | (ports >= num_ports)][0])
             raise ValueError(f"{name} port {bad} out of range")
 
 
-def pack_arrivals(num_ports: int, draws, flits, cycle: int):
-    """Pack one cycle's per-lane traffic arrays into ring records.
+def stage_arrivals(traffics, num_ports: int, cycle: int, count: int):
+    """Pack every lane's next ``count`` arrivals calls into ring records.
 
-    Args:
-        num_ports: Switch radix.
-        draws: One ``(srcs, dsts, first_packet_id)`` per lane — the
-            ``arrivals(cycle)`` of each lane's traffic source.
-        flits: Per-lane packet length, int64 array of shape
-            ``(num_lanes,)``.
-        cycle: Creation cycle stamped on every record.
-
-    Returns:
-        ``None`` when no lane injects, else ``(gid, recs, lane_flits,
-        lane_packets)``: the first three are
-        :meth:`FleetKernel.inject_packed`'s arguments, rows lane-major
-        and in each lane's arrival order (the scalar inject order);
-        ``lane_packets`` counts each lane's packets.
+    Reads one ``arrivals_span(cycle, count)`` per lane (each source
+    also needs a ``factory`` with ``num_flits``).  Returns ``(gid, recs,
+    bounds, lane_packets, lane_flits)``: ``inject_packed`` rows ordered
+    by call, then lane, then arrival order (the scalar inject order);
+    call ``k``'s rows are ``bounds[k]:bounds[k + 1]``, their created
+    column left for the consumer to stamp; and ``(count, num_lanes)``
+    per-call packet and flit counts.
 
     Raises:
         ValueError: On an out-of-range port.
-        OverflowError: If a packet id or the cycle reaches ``2**31``.
+        OverflowError: If a packet id or a call's cycle reaches
+            ``2**31``.
     """
-    srcs, dsts, firsts = zip(*draws)
-    lane_packets = np.fromiter(
-        map(len, srcs), dtype=np.int64, count=len(srcs)
-    )
-    total = int(lane_packets.sum())
-    if not total:
-        return None
-    srcs = np.concatenate(srcs)
-    dsts = np.concatenate(dsts)
+    num_lanes = len(traffics)
+    calls, srcs, dsts, firsts = zip(*(
+        traffic.arrivals_span(cycle, count) for traffic in traffics
+    ))
+    flits = np.array([traffic.factory.num_flits for traffic in traffics])
+    sizes = np.fromiter(map(len, srcs), dtype=np.int64, count=num_lanes)
+    calls, srcs, dsts = map(np.concatenate, (calls, srcs, dsts))
     _check_ports(num_ports, srcs, dsts)
-    ends = np.cumsum(lane_packets)
     first_ids = np.array(firsts, dtype=np.int64)
-    last_id = int((first_ids + lane_packets).max()) - 1
-    if (last_id | cycle | int(flits.max())) >> 31:
+    last_id = int((first_ids + sizes).max()) - 1
+    if max(last_id, cycle + count - 1, int(flits.max())) >> 31:
         raise OverflowError(
             "fleet ring records are 32-bit: num_flits, created and pid "
             "must lie in [0, 2**31)"
         )
-    recs = np.empty((total, 4), dtype=np.int32)
-    recs[:, 0] = dsts
-    recs[:, 1] = np.repeat(flits, lane_packets)
-    recs[:, 2] = cycle
-    recs[:, 3] = np.arange(total) + np.repeat(
-        first_ids - (ends - lane_packets), lane_packets
-    )
-    lanes = np.repeat(np.arange(len(lane_packets)), lane_packets)
-    gid = lanes * num_ports + srcs
-    return gid, recs, lane_packets * flits, lane_packets
+    lanes = np.repeat(np.arange(num_lanes), sizes)
+    key = calls * num_lanes + lanes
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(sizes)
+    ids = np.arange(srcs.size) + np.repeat(first_ids - (ends - sizes), sizes)
+    recs = np.empty((srcs.size, 4), dtype=np.int32)
+    recs[:, 0] = dsts[order]
+    recs[:, 1] = flits[lanes[order]]
+    recs[:, 3] = ids[order]
+    gid = (lanes * num_ports + srcs)[order]
+    lane_packets = np.bincount(key, minlength=count * num_lanes)
+    lane_packets = lane_packets.reshape(count, num_lanes)
+    bounds = [0] + np.cumsum(lane_packets.sum(axis=1)).tolist()
+    return gid, recs, bounds, lane_packets, lane_packets * flits
+
+
+def _rows(a, width: int):
+    """C-contiguous ``a`` as a 1-D array of ``width``-item void rows:
+    ``view[idx]`` moves whole rows, an order of magnitude cheaper than
+    ``(K, width)`` fancy indexing; read a gather back with
+    ``.view(a.dtype).reshape(-1, width)``."""
+    return a.reshape(-1).view(f"V{width * a.itemsize}")
 
 
 #: Unsigned view dtypes for the fast contiguous last-axis ``any``.
-_ANY_VIEW = (
-    {2: np.uint16, 4: np.uint32, 8: np.uint64} if np is not None else {}
-)
+_ANY_VIEW = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _any_last(a):
@@ -228,7 +220,7 @@ def _replay_latency_samples(
     even for multi-million-packet runs.
     """
     if limit is None:
-        return [int(v) for v in latencies], 1
+        return list(latencies), 1
     samples: List[int] = []
     stride = 1
     index = 0
@@ -237,7 +229,7 @@ def _replay_latency_samples(
         room = limit + 1 - len(samples)
         take = latencies[index::stride][:room]
         taken = len(take)
-        samples.extend(int(v) for v in take)
+        samples.extend(take)
         if taken < room:
             break  # stream exhausted before the next halving
         last = index + (taken - 1) * stride
@@ -260,7 +252,6 @@ class FleetKernel:
             no faults for that lane).
 
     Raises:
-        RuntimeError: If numpy is unavailable.
         ValueError: If the configuration is unsupported
             (see :func:`fleet_supports`) or ``num_lanes`` < 1.
     """
@@ -271,10 +262,6 @@ class FleetKernel:
         num_lanes: int,
         faults: Optional[Sequence[Optional[FaultSchedule]]] = None,
     ) -> None:
-        if np is None:
-            raise RuntimeError(
-                "the fleet kernel needs numpy (pip install repro[fleet])"
-            )
         if num_lanes < 1:
             raise ValueError("need at least one lane")
         if not fleet_supports(config):
@@ -335,11 +322,6 @@ class FleetKernel:
             [cfg.channel_resource_id(l, l, 0) for l in range(L)],
             dtype=np.int64,
         )
-        # Broadcast index helpers reused by the hot loop.
-        self._b1 = np.arange(B, dtype=np.int64)
-        self._b3 = self._b1[:, None, None]
-        self._n3 = np.arange(N, dtype=np.int64)[None, :, None]
-        self._v3 = np.arange(V, dtype=np.int64)[None, None, :]
 
         # --- port state -----------------------------------------------
         ii8 = np.int64
@@ -356,16 +338,14 @@ class FleetKernel:
         self._vc_nf = np.ones((B, N, V), dtype=ii8)
         self._vc_created = np.zeros((B, N, V), dtype=ii8)
         # Flat views (reshape(-1) aliases the same buffers) plus the
-        # (lane, port) -> flat VC base offsets, for cheap scatter/gather.
+        # flat (lane, port) -> VC base offsets, for cheap scatter/gather.
         self._vc_owner_f = self._vc_owner.reshape(-1)
         self._vc_cnt_f = self._vc_cnt.reshape(-1)
         self._vc_lo_f = self._vc_lo.reshape(-1)
         self._vc_dst_f = self._vc_dst.reshape(-1)
         self._vc_nf_f = self._vc_nf.reshape(-1)
         self._vc_created_f = self._vc_created.reshape(-1)
-        self._flat_nv = (
-            self._b1[:, None] * N + np.arange(N, dtype=ii8)[None, :]
-        ) * V
+        self._flat_nv = np.arange(B * N, dtype=ii8) * V
 
         # --- source queues: a (B, N, cap, 4) record ring ---------------
         # One record per queued packet — [dst, num_flits, created, pid]
@@ -476,8 +456,10 @@ class FleetKernel:
         self._q_len_f = self._q_len.reshape(-1)
         self._q_front_seq_f = self._q_front_seq.reshape(-1)
         self._pending_f = self._pending.reshape(-1)
-        self._front_f = self._front.reshape(-1, 4)
-        self._q_f = self._q.reshape(-1, 4)
+        self._stuck_f = self._stuck.reshape(-1)
+        # Record views: one void item per ring slot / front / VC row.
+        self._front_v = _rows(self._front, 4)
+        self._q_v = _rows(self._q, 4)
         self.resource_owner_f = self.resource_owner.reshape(-1)
         self.output_owner_f = self.output_owner.reshape(-1)
         self._conn_rid_f = self._conn_rid.reshape(-1)
@@ -485,8 +467,8 @@ class FleetKernel:
         self._cool_in_f = self._cool_in.reshape(-1)
         self._cool_out_f = self._cool_out.reshape(-1)
         self._cool_res_f = self._cool_res.reshape(-1)
-        self._vc_owner_rows = self._vc_owner.reshape(-1, V)
-        self._vc_dst_rows = self._vc_dst.reshape(-1, V)
+        self._vc_owner_v = _rows(self._vc_owner, V)
+        self._vc_dst_v = _rows(self._vc_dst, V)
         self._loc_rank_f = self._loc_rank.reshape(-1)
         self._loc_stamp_f = self._loc_stamp.reshape(-1)
         if self._rid_of_dst is not None:
@@ -566,34 +548,13 @@ class FleetKernel:
 
         One counters object profiles the whole fleet (``lanes`` records
         the batch width): ``step`` phase-times one cycle in every
-        ``perf.stride`` and the injection entry points are shadowed so
-        batched injections are timed per call.  The counters only read
-        the monotonic clock — attached runs stay bit-identical.
+        ``perf.stride`` and both injection entry points time every
+        call.  The counters only read the monotonic clock — attached
+        runs stay bit-identical.
         """
         self._perf = perf
         if perf is not None:
             perf.bind(self)
-            self.inject_cycle = self._inject_cycle_perf  # type: ignore[method-assign]
-            self.inject_packed = self._inject_packed_perf  # type: ignore[method-assign]
-        else:
-            self.__dict__.pop("inject_cycle", None)
-            self.__dict__.pop("inject_packed", None)
-
-    def _inject_cycle_perf(
-        self, lanes, srcs, dsts, created, num_flits, pids
-    ) -> None:
-        perf = self._perf
-        start = time.perf_counter_ns()
-        FleetKernel.inject_cycle(
-            self, lanes, srcs, dsts, created, num_flits, pids
-        )
-        perf.add("inject", time.perf_counter_ns() - start, len(srcs))
-
-    def _inject_packed_perf(self, gid, recs, lane_flits) -> None:
-        perf = self._perf
-        start = time.perf_counter_ns()
-        FleetKernel.inject_packed(self, gid, recs, lane_flits)
-        perf.add("inject", time.perf_counter_ns() - start, len(gid))
 
     # ------------------------------------------------------------------
     # Fault handling (rare; per-lane python mirroring apply_fault_events)
@@ -751,7 +712,7 @@ class FleetKernel:
         new[:, :, :cap] = self._q
         new[:, :, cap:2 * cap] = self._q
         self._q = new
-        self._q_f = new.reshape(-1, 4)
+        self._q_v = _rows(new, 4)
         self._q_cap = new_cap
 
     def inject_cycle(
@@ -769,28 +730,31 @@ class FleetKernel:
             OverflowError: If ``num_flits``/``created``/``pids`` fall
                 outside ``[0, 2**31)`` — ring records are 32-bit.
         """
+        start = time.perf_counter_ns()
         count = len(srcs)
-        if count == 0:
-            return
-        _check_ports(self.num_ports, srcs, dsts)
-        if ((num_flits | created | pids) >> 31).any():
-            raise OverflowError(
-                "fleet ring records are 32-bit: num_flits, created and "
-                "pid must lie in [0, 2**31)"
-            )
-        recs = np.empty((count, 4), dtype=np.int32)
-        recs[:, 0] = dsts
-        recs[:, 1] = num_flits
-        recs[:, 2] = created
-        recs[:, 3] = pids
-        self._append(lanes * self.num_ports + srcs, recs)
-        np.add.at(self.lane_occupancy, lanes, num_flits)
+        if count:
+            _check_ports(self.num_ports, srcs, dsts)
+            if ((num_flits | created | pids) >> 31).any():
+                raise OverflowError(
+                    "fleet ring records are 32-bit: num_flits, created "
+                    "and pid must lie in [0, 2**31)"
+                )
+            recs = np.empty((count, 4), dtype=np.int32)
+            recs[:, 0] = dsts
+            recs[:, 1] = num_flits
+            recs[:, 2] = created
+            recs[:, 3] = pids
+            self._append(lanes * self.num_ports + srcs, recs)
+            np.add.at(self.lane_occupancy, lanes, num_flits)
+        if self._perf is not None:
+            self._perf.add("inject", time.perf_counter_ns() - start, count)
 
     def inject_packed(self, gid, recs, lane_flits) -> None:
         """Append pre-packed packet records (the batched-driver path).
 
-        :func:`pack_arrivals` builds the arguments from per-lane traffic
-        arrays; the simulation loop and the fleet benchmark both use it.
+        :func:`stage_arrivals` builds the arguments (one call's slice of
+        a staged block) from per-lane traffic arrays; the simulation
+        loop and the fleet benchmark both use it.
 
         Args:
             gid: ``lane * num_ports + src`` per row.  Rows may come in
@@ -798,17 +762,21 @@ class FleetKernel:
             recs: Matching ``(len(gid), 4)`` int32 record block, columns
                 ``[dst, num_flits, created, packet_id]`` — the ring
                 layout.  Port ranges and the 32-bit value bounds are the
-                caller's contract (:func:`pack_arrivals` checks them).
+                caller's contract (:func:`stage_arrivals` checks them).
             lane_flits: Per-lane injected-flit totals, shape
                 ``(num_lanes,)``.
         """
+        start = time.perf_counter_ns()
         if len(gid):
             self._append(gid, recs)
             self.lane_occupancy += lane_flits
+        if self._perf is not None:
+            self._perf.add("inject", time.perf_counter_ns() - start, len(gid))
 
     def _append(self, gid, recs) -> None:
         """Append records to their queues, in row order per queue."""
         num_flits = recs[:, 1]
+        rows = _rows(recs, 4)
         count = len(gid)
         if count == 1 or (gid[1:] > gid[:-1]).all():
             # At most one packet per queue (the common case: synthetic
@@ -820,18 +788,18 @@ class FleetKernel:
             cap = self._q_cap
             slots = self._q_head_f[gid] + qlen
             slots -= (slots >= cap) * cap
-            self._q_f[gid * cap + slots] = recs
-            we = np.flatnonzero(qlen == 0)
+            self._q_v[gid * cap + slots] = rows
+            we = (qlen == 0).nonzero()[0]
             if we.size:
-                self._front_f[gid[we]] = recs[we]
+                self._front_v[gid[we]] = rows[we]
             self._q_len_f[gid] = qlen + 1
             self._pending_f[gid] += num_flits
             return
         if not (gid[1:] >= gid[:-1]).all():
             order = np.argsort(gid, kind="stable")
             gid = gid[order]
-            recs = recs[order]
-            num_flits = recs[:, 1]
+            rows = rows[order]
+            num_flits = num_flits[order]
         starts, counts = _group_starts(gid)
         gb = gid[starts]
         qlen = self._q_len_f[gb]
@@ -846,10 +814,10 @@ class FleetKernel:
         )
         # head < cap and final length <= cap, so one wrap suffices.
         slots -= (slots >= cap) * cap
-        self._q_f[gid * cap + slots] = recs
-        we = np.flatnonzero(qlen == 0)
+        self._q_v[gid * cap + slots] = rows
+        we = (qlen == 0).nonzero()[0]
         if we.size:
-            self._front_f[gb[we]] = recs[starts[we]]
+            self._front_v[gb[we]] = rows[starts[we]]
         self._q_len_f[gb] = qlen + counts
         self._pending_f[gb] += np.add.reduceat(num_flits, starts)
 
@@ -869,9 +837,18 @@ class FleetKernel:
             ``(flit_counts, tail_lane, tail_src, tail_dst,
             tail_created)`` — per-lane ejected-flit counts plus one row
             per delivered packet, in the scalar per-port scan order.
+
+        With perf counters attached, one cycle in every ``perf.stride``
+        reads the monotonic clock at the phase boundaries; op counts
+        are fleet-aggregate (flits transmitted across all lanes).
         """
-        if self._perf is not None:
-            return self._step_perf(cycle, active)
+        perf = self._perf
+        clock = None
+        if perf is not None:
+            perf.cycles_total += 1
+            if cycle % perf.stride == 0:
+                perf.cycles_sampled += 1
+                clock = time.perf_counter_ns
         if self._have_faults:
             for lane, cursor in enumerate(self._cursors):
                 if cursor is None:
@@ -887,66 +864,35 @@ class FleetKernel:
             self._cool_in_f[tbase] = False
             self._cool_out_f[obase] = False
             self._cool_res_f[rbase] = False
+        if clock is not None:
+            t1 = clock()
         counts_and_tails = self._transmit(cycle)
+        if clock is not None:
+            t2 = clock()
         self._refill(cycle)
+        if clock is not None:
+            t3 = clock()
         self._arbitrate(cycle)
-        return counts_and_tails
-
-    def _step_perf(self, cycle: int, active=None):
-        """Perf-counting step twin: phase-time one cycle per stride.
-
-        The fleet phases are already separate array passes, so sampled
-        cycles just put a monotonic read between them; op counts are
-        fleet-aggregate (flits transmitted across all lanes).
-        """
-        perf = self._perf
-        perf.cycles_total += 1
-        sampled = cycle % perf.stride == 0
-        if sampled:
-            perf.cycles_sampled += 1
-        ns = time.perf_counter_ns
-        if self._have_faults:
-            for lane, cursor in enumerate(self._cursors):
-                if cursor is None:
-                    continue
-                if active is not None and not active[lane]:
-                    continue
-                due = cursor.take(cycle)
-                if due:
-                    self._apply_fault_events(lane, due, cycle)
-        tbase, obase, rbase = self._tear
-        if tbase.size:
-            self._cool_in_f[tbase] = False
-            self._cool_out_f[obase] = False
-            self._cool_res_f[rbase] = False
-        if not sampled:
-            counts_and_tails = self._transmit(cycle)
-            self._refill(cycle)
-            self._arbitrate(cycle)
-            return counts_and_tails
-        t1 = ns()
-        counts_and_tails = self._transmit(cycle)
-        t2 = ns()
-        self._refill(cycle)
-        t3 = ns()
-        self._arbitrate(cycle)
-        t4 = ns()
-        perf.add("transmit", t2 - t1, int(counts_and_tails[0].sum()))
-        perf.add("refill", t3 - t2)
-        perf.add("arbitrate", t4 - t3, len(counts_and_tails[1]))
+        if clock is not None:
+            t4 = clock()
+            perf.add("transmit", t2 - t1, int(counts_and_tails[0].sum()))
+            perf.add("refill", t3 - t2)
+            perf.add("arbitrate", t4 - t3, len(counts_and_tails[1]))
         return counts_and_tails
 
     def _transmit(self, cycle: int):
         """Stream one flit on every connected port; tear down on tails."""
-        act = self.active_vc
+        N = self.num_ports
+        act = self.active_vc_f
         busy = act >= 0
         # act is -1 on idle ports; `act * busy` clamps those to 0 so the
         # gather below stays in range (fire masks them out anyway).
         fidx_full = self._flat_nv + act * busy
         fire = busy & (self._vc_cnt_f[fidx_full] > 0)
-        fb, fn = np.nonzero(fire)
-        fbase = fb * self.num_ports + fn
-        fidx = fidx_full.reshape(-1)[fbase]
+        # Flat (lane, port) indices, ascending: the scalar scan order.
+        fbase = fire.nonzero()[0]
+        fb = fbase // N
+        fidx = fidx_full[fbase]
         seq = self._vc_lo_f[fidx]
         nf = self._vc_nf_f[fidx]
         self._vc_lo_f[fidx] = seq + 1
@@ -955,16 +901,15 @@ class FleetKernel:
         tracer = self._tracer
         tail = seq == nf - 1
         if tracer is not None and fb.size:
-            # Ejects in the scalar per-port scan order: np.nonzero is
-            # row-major, i.e. already (lane, port)-ascending.
             tracer.append_batch(
-                cycle, fb, EJECT, fn, self._vc_dst_f[fidx], seq, tail
+                cycle, fb, EJECT, fbase - fb * N, self._vc_dst_f[fidx],
+                seq, tail,
             )
-        ti = np.flatnonzero(tail)
+        ti = tail.nonzero()[0]
         tbase = fbase[ti]
         tidx = fidx[ti]
         tb = fb[ti]
-        tn = fn[ti]
+        tn = tbase - tb * N
         # Tails: the popped flit was the packet's last, so the VC is
         # empty — free it, release the path, start the cooling blackout.
         self._vc_owner_f[tidx] = -1
@@ -972,7 +917,7 @@ class FleetKernel:
         rid = self._conn_rid_f[tbase]
         out = self._conn_out_f[tbase]
         rbase = tb * self._R + rid
-        obase = tb * self.num_ports + out
+        obase = tbase - tn + out
         self.resource_owner_f[rbase] = -1
         self.output_owner_f[obase] = -1
         self._conn_rid_f[tbase] = -1
@@ -1000,33 +945,32 @@ class FleetKernel:
 
     def _refill(self, cycle: int) -> None:
         """Move up to one source-queue flit per port into a VC."""
-        cand = (~self._refill_blocked) & (self._q_len > 0)
-        cb, cn = np.nonzero(cand)
-        if cb.size == 0:
+        cbase = (~self._refill_blocked_f & (self._q_len_f > 0)).nonzero()[0]
+        if cbase.size == 0:
             return
         V = self._V
-        cbase = cb * self.num_ports + cn
-        rec = self._front_f[cbase]
-        fdst, fnf, fcre, fpid = rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3]
+        rec = self._front_v[cbase].view(np.int32).reshape(-1, 4)
+        fdst, fnf, fcre, fpid = rec.T
         fseq = self._q_front_seq_f[cbase]
         head_case = fseq == 0
         moved_parts = []
 
         # Head flits: the first free VC takes the packet (a free VC is
         # always empty and depth >= 1, so no space check is needed).
-        h = np.flatnonzero(head_case)
+        h = head_case.nonzero()[0]
         if h.size:
             hbase = cbase[h]
-            freem = self._vc_owner_rows[hbase] < 0
+            owners = self._vc_owner_v[hbase].view(np.int64)
+            freem = owners.reshape(-1, V) < 0
             if self._vc_lut is not None:
                 # Packed-mask pick of the first free VC (the rr=0 row of
                 # the arbitration LUT), replacing any()+argmax().
                 packed = freem.view(np.uint32).reshape(-1)
-                hh = np.flatnonzero(packed)
+                hh = packed.nonzero()[0]
                 has_free = packed != 0
             else:
                 has_free = _any_last(freem)
-                hh = np.flatnonzero(has_free)
+                hh = has_free.nonzero()[0]
             if hh.size:
                 rows = h[hh]
                 if self._vc_lut is not None:
@@ -1045,12 +989,12 @@ class FleetKernel:
                 self._vc_lo_f[vidx] = 0
                 self._refill_vc_f[hbase[hh]] = vsel
                 moved_parts.append(rows)
-            blocked = np.flatnonzero(~has_free)
+            blocked = (~has_free).nonzero()[0]
             if blocked.size:
                 self._refill_blocked_f[hbase[blocked]] = True
 
         # Body/tail flits: only the packet's owner VC may take them.
-        bsel = np.flatnonzero(~head_case)
+        bsel = (~head_case).nonzero()[0]
         if bsel.size:
             bbase = cbase[bsel]
             vcur = self._refill_vc_f[bbase]
@@ -1069,7 +1013,7 @@ class FleetKernel:
                         match[k] = True
                     else:
                         self._refill_blocked_f[flat] = True
-            ok = np.flatnonzero(match)
+            ok = match.nonzero()[0]
             if ok.size:
                 space = self._vc_cnt_f[vidx[ok]] < self._depth
                 good = ok[space]
@@ -1092,7 +1036,7 @@ class FleetKernel:
             done = new_seq == fnf[m]
             # Front packet finished: reset its seq for the next packet.
             self._q_front_seq_f[mbase] = new_seq * ~done
-            di = np.flatnonzero(done)
+            di = done.nonzero()[0]
             if di.size:
                 dbase = mbase[di]
                 head = self._q_head_f[dbase] + 1
@@ -1101,7 +1045,7 @@ class FleetKernel:
                 self._q_len_f[dbase] -= 1
                 # Refresh the front cache (garbage when the queue just
                 # emptied — never read, the length guard filters it).
-                self._front_f[dbase] = self._q_f[dbase * self._q_cap + head]
+                self._front_v[dbase] = self._q_v[dbase * self._q_cap + head]
 
     # ------------------------------------------------------------------
     # Arbitration (two phases within one cycle, all lanes at once)
@@ -1121,40 +1065,40 @@ class FleetKernel:
         B, N, V = self.num_lanes, self.num_ports, self._V
         S, C, LL = self._S, self._C, self._L * self._L
         scheme = self._scheme
-        elig = (
-            (self.active_vc < 0) & ~self._cool_in & ~self._stuck
-        )
         # ---- candidate selection: one request per idle port ----------
         # Work on the (sparse) eligible ports only; everything below is
-        # flat-indexed (K, V) gathers, far cheaper than full (B, N, V)
-        # fancy indexing when most ports are busy or empty.
-        head_ok_full = (self._vc_cnt > 0) & (self._vc_lo == 0)
-        pcand = elig & _any_last(head_ok_full)
-        kb, kn = np.nonzero(pcand)
-        if kb.size == 0:
+        # flat-indexed (K, V) row gathers, far cheaper than full
+        # (B, N, V) fancy indexing when most ports are busy or empty.
+        head_ok_full = (self._vc_cnt_f > 0) & (self._vc_lo_f == 0)
+        head_ok_full = head_ok_full.reshape(-1, V)
+        pcand = _any_last(head_ok_full) & (self.active_vc_f < 0)
+        pcand &= ~(self._cool_in_f | self._stuck_f)
+        base = pcand.nonzero()[0]
+        if base.size == 0:
             return
-        base = kb * N + kn
-        head_ok = head_ok_full.reshape(-1, V)[base]
-        vdst = self._vc_dst_rows[base]
-        out_free = (self.output_owner < 0) & ~self._cool_out
-        res_free = (self.resource_owner < 0) & ~self._cool_res
-        res_free_f = res_free.reshape(-1)
-        out_ok = out_free.reshape(-1)[(kb * N)[:, None] + vdst]
+        kb = base // N
+        kn = base - kb * N
+        head_ok = _rows(head_ok_full, V)[base].view(bool).reshape(-1, V)
+        vdst = self._vc_dst_v[base].view(np.int64).reshape(-1, V)
+        out_free = (self.output_owner_f < 0) & ~self._cool_out_f
+        res_free = (self.resource_owner_f < 0) & ~self._cool_res_f
+        out_ok = out_free[(base - kn)[:, None] + vdst]
         free_h = None
         rid2 = None
         if self._binned:
             rid2 = self._rid_of_dst_f[(base * N)[:, None] + vdst]
             viable = head_ok & out_ok
-            viable &= res_free_f[(kb * self._R)[:, None] + rid2]
+            viable &= res_free[(kb * self._R)[:, None] + rid2]
         else:
             knN = (kn * N)[:, None]
             same2 = self._same_layer.reshape(-1)[knN + vdst]
-            free_h = self._healthy & res_free[:, N:].reshape(B, LL, C)
+            chan_free = res_free.reshape(B, -1)[:, N:].reshape(B, LL, C)
+            free_h = self._healthy & chan_free
             pair_any = _any_last(free_h)
             pair2 = self._pair_of.reshape(-1)[knN + vdst]
             viable = head_ok & out_ok & np.where(
                 same2,
-                res_free_f[(kb * self._R)[:, None] + vdst],
+                res_free[(kb * self._R)[:, None] + vdst],
                 pair_any.reshape(-1)[(kb * LL)[:, None] + pair2],
             )
         tracer = self._tracer
@@ -1162,7 +1106,7 @@ class FleetKernel:
         if self._vc_lut is not None:
             # Packed-mask fast path (see __init__): selected rows only.
             packed = viable.view(np.uint32).reshape(-1)
-            sel = np.flatnonzero(packed)
+            sel = packed.nonzero()[0]
             if sel.size == 0:
                 if tracer is not None:
                     self._trace_via_blocked(cycle, kb, kn, head_ok,
@@ -1173,14 +1117,14 @@ class FleetKernel:
             rvc = self._vc_lut[nib * 4 + self._rr_next_vc_f[base[sel]]]
         else:
             rr = self._rr_next_vc_f[base]
-            d = self._v3[0] - rr[:, None]
+            d = np.arange(V) - rr[:, None]
             if V & (V - 1) == 0:
                 d &= V - 1
             else:
                 d %= V
             rr_key = d + ~viable * np.int64(V)
             vc_star = rr_key.argmin(axis=1)
-            sel = np.flatnonzero(_any_last(viable))
+            sel = _any_last(viable).nonzero()[0]
             if sel.size == 0:
                 if tracer is not None:
                     self._trace_via_blocked(cycle, kb, kn, head_ok,
@@ -1210,7 +1154,7 @@ class FleetKernel:
             dense = self._dense_r
             dense.fill(_BIG)
             np.minimum.at(dense, gid, rank)
-            win = np.flatnonzero(rank == dense[gid])
+            win = (rank == dense[gid]).nonzero()[0]
             p1key_w = None
             if tracer is not None:
                 # Scalar winners-dict insertion order: all intermediate
@@ -1256,7 +1200,7 @@ class FleetKernel:
             dense2 = self._dense_n
             dense2.fill(_BIG)
             np.minimum.at(dense2, gid2, skey)
-            pick = np.flatnonzero(skey == dense2[gid2])
+            pick = (skey == dense2[gid2]).nonzero()[0]
             est = win[pick]
             outkey = None
             if tracer is not None:
@@ -1294,16 +1238,16 @@ class FleetKernel:
                 served = self._sb_served_f[sidx] + 1
                 done = served >= weight
                 self._sb_served_f[sidx] = served * ~done
-                d2 = np.flatnonzero(done)
+                d2 = done.nonzero()[0]
                 if d2.size:
                     dsb = sb2[d2]
                     stamp = self._sb_stamp_f[dsb]
                     self._sb_rank_f[dsb * S + eslot[d2]] = stamp
                     self._sb_stamp_f[dsb] = stamp + 1
             elif scheme is ArbitrationScheme.CLRG:
-                sat = np.flatnonzero(
+                sat = (
                     cnow[pick] >= self.config.num_classes - 1
-                )
+                ).nonzero()[0]
                 if sat.size:
                     rows = self._clrg_rows[sb2[sat]]
                     self._clrg_rows[sb2[sat]] = rows // 2
@@ -1611,13 +1555,18 @@ class FleetSimulation:
     limit), so each lane's :class:`SimulationResult` is bit-identical to a
     scalar run with the same traffic source and fault schedule.
 
-    Traffic is read as arrays: each cycle every lane's source returns
-    ``arrivals(cycle)`` and :func:`pack_arrivals` turns the lot into one
-    ``inject_packed`` batch, with no ``Packet`` objects.  The scalar
-    engine's ``packets_for_cycle`` wraps the same ``arrivals`` call, so
-    both kernels read the same draws and lane parity holds by
-    construction.  Sources need ``arrivals`` and a ``factory`` with
-    ``num_flits`` (every :mod:`repro.traffic` source has both).
+    Traffic is staged a block at a time, as arrays: once per
+    :data:`~repro.traffic.base.BLOCK_CYCLES` injecting cycles (fewer at
+    the end of a window) :func:`stage_arrivals` reads every lane's
+    ``arrivals_span`` and packs the lot into call-ordered ring records,
+    with no ``Packet`` objects.  Each injecting cycle then consumes the
+    next call's slice — slots go in call order, and the creation cycle
+    is stamped as a slot is consumed — as one ``inject_packed`` batch.
+    A span is the same draws as successive ``arrivals`` calls, which the
+    scalar engine's ``packets_for_cycle`` wraps, so both kernels read
+    the same packets and lane parity holds by construction.  Sources
+    need ``arrivals_span`` and a ``factory`` with ``num_flits`` (every
+    :mod:`repro.traffic` source has both).
     """
 
     def __init__(
@@ -1640,13 +1589,12 @@ class FleetSimulation:
         if perf is not None:
             self.kernel.attach_perf(perf)
         self.traffics = list(traffics)
-        self._flits = np.array(
-            [traffic.factory.num_flits for traffic in self.traffics],
-            dtype=np.int64,
-        )
         self.warmup_cycles = warmup_cycles
         self.latency_sample_limit = latency_sample_limit
         self._cycle = 0
+        # The staged traffic block (stage_arrivals) and its next call.
+        self._staged = None
+        self._call = 0
 
     @property
     def cycle(self) -> int:
@@ -1663,13 +1611,17 @@ class FleetSimulation:
         cycle = self._cycle
         kernel = self.kernel
         if inject:
-            packed = pack_arrivals(
-                kernel.num_ports,
-                [traffic.arrivals(cycle) for traffic in self.traffics],
-                self._flits, cycle,
-            )
-            if packed is not None:
-                gid, recs, lane_flits, lane_packets = packed
+            gid, recs, bounds, lane_packets, lane_flits = self._staged
+            call = self._call
+            self._call = call + 1
+            if self._call == len(bounds) - 1:
+                self._staged = None  # block consumed
+            lo = bounds[call]
+            hi = bounds[call + 1]
+            if hi > lo:
+                gid = gid[lo:hi]
+                recs = recs[lo:hi]
+                recs[:, 2] = cycle
                 tracer = kernel._tracer
                 if tracer is not None:
                     # Rows are lane-major, each lane's in arrival order:
@@ -1679,9 +1631,9 @@ class FleetSimulation:
                         cycle, gid // N, INJECT, gid % N, recs[:, 0],
                         recs[:, 1], recs[:, 3],
                     )
-                kernel.inject_packed(gid, recs, lane_flits)
-                if measuring:
-                    acct["injected"] += lane_packets
+                kernel.inject_packed(gid, recs, lane_flits[call])
+            if measuring:
+                acct["injected"] += lane_packets[call]
         fc, tb, tsrc, tdst, tcre = kernel.step(cycle, active)
         if measuring:
             if active is None:
@@ -1708,6 +1660,12 @@ class FleetSimulation:
         end_warmup = self._cycle + self.warmup_cycles
         end_measure = end_warmup + measure_cycles
         while self._cycle < end_measure:
+            if self._staged is None:
+                self._staged = stage_arrivals(
+                    self.traffics, kernel.num_ports, self._cycle,
+                    min(BLOCK_CYCLES, end_measure - self._cycle),
+                )
+                self._call = 0
             measuring = self._cycle >= end_warmup
             self._tick(acct, measuring, inject=True)
         if drain:
@@ -1752,19 +1710,19 @@ class FleetSimulation:
     def _finalize(self, acct: dict) -> List[SimulationResult]:
         B = self.kernel.num_lanes
         N = self.kernel.num_ports
-        if acct["tails"]:
-            tb = np.concatenate([t[0] for t in acct["tails"]])
-            tsrc = np.concatenate([t[1] for t in acct["tails"]])
-            tdst = np.concatenate([t[2] for t in acct["tails"]])
-            tlat = np.concatenate([t[3] for t in acct["tails"]])
-        else:
-            tb = tsrc = tdst = tlat = np.zeros(0, dtype=np.int64)
+        tails = acct["tails"] or [(np.zeros(0, dtype=np.int64),) * 4]
+        tb, tsrc, tdst, tlat = (np.concatenate(col) for col in zip(*tails))
+        # Group the tails by lane, each lane's in delivery order.
+        order = np.argsort(tb, kind="stable")
+        tsrc, tdst, tlat = tsrc[order], tdst[order], tlat[order]
+        bounds = np.searchsorted(tb[order], np.arange(B + 1)).tolist()
+        latencies = tlat.tolist()
         results = []
         for lane in range(B):
-            mask = tb == lane
-            lat = tlat[mask]
+            lo, hi = bounds[lane], bounds[lane + 1]
+            lat = tlat[lo:hi]
             samples, stride = _replay_latency_samples(
-                lat.tolist(), self.latency_sample_limit
+                latencies[lo:hi], self.latency_sample_limit
             )
             result = SimulationResult(
                 latency_sample_limit=self.latency_sample_limit
@@ -1778,14 +1736,19 @@ class FleetSimulation:
             result.latency_count = int(lat.size)
             result.latency_sum = int(lat.sum())
             result.latency_sumsq = int((lat * lat).sum())
-            src_cnt = np.bincount(tsrc[mask], minlength=N)
-            src_lat = np.bincount(tsrc[mask], weights=lat, minlength=N)
-            dst_cnt = np.bincount(tdst[mask], minlength=N)
-            for p in np.nonzero(src_cnt)[0]:
-                result.per_input_ejected[int(p)] = int(src_cnt[p])
-                result.per_input_latency_sum[int(p)] = int(src_lat[p])
-            for p in np.nonzero(dst_cnt)[0]:
-                result.per_output_ejected[int(p)] = int(dst_cnt[p])
+            src_cnt = np.bincount(tsrc[lo:hi], minlength=N)
+            src_lat = np.bincount(tsrc[lo:hi], weights=lat, minlength=N)
+            dst_cnt = np.bincount(tdst[lo:hi], minlength=N)
+            ports = src_cnt.nonzero()[0]
+            keys = ports.tolist()
+            result.per_input_ejected = dict(zip(keys, src_cnt[ports].tolist()))
+            result.per_input_latency_sum = dict(
+                zip(keys, src_lat[ports].astype(np.int64).tolist())
+            )
+            ports = dst_cnt.nonzero()[0]
+            result.per_output_ejected = dict(
+                zip(ports.tolist(), dst_cnt[ports].tolist())
+            )
             results.append(result)
         return results
 

@@ -12,7 +12,7 @@ fleet kernel at close to one-run cost.
 
 The fleet path is an *optimisation, never a semantic change*: lane
 results are bit-identical to scalar runs, and any task the fleet cannot
-take — unsupported config, missing numpy, a tracer factory that is not
+take — unsupported config, a tracer factory that is not
 fleet-capable, or ``invariants=True`` — simply runs on the scalar
 kernel.  Fleet-capable tracer factories (those advertising
 ``fleet_capable = True``, like
@@ -187,8 +187,7 @@ class SimulationMeasurement:
     def fleet_plan(self, seed: int = 0, **overrides):
         """This task as a LanePlan, or ``None`` if it must run scalar.
 
-        ``None`` means: numpy missing, the config is outside fleet
-        support, or the measurement carries per-run attachments the
+        ``None`` means: the config is outside fleet support, or the measurement carries per-run attachments the
         batched kernel cannot host (an invariant checker, or a tracer
         factory without ``fleet_capable = True``).  Fleet-capable
         tracer factories are carried on the plan — the fleet kernel

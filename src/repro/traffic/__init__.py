@@ -3,8 +3,9 @@
 All generators implement the ``TrafficSource`` protocol of
 :mod:`repro.network.engine`: ``packets_for_cycle(cycle)`` returns the
 packets generated during that cycle.  Underneath it, ``arrivals(cycle)``
-returns the same cycle as arrays ``(srcs, dsts, first_packet_id)``, which
-the fleet kernel packs without building packets.  Synthetic generators
+returns the same cycle as arrays ``(srcs, dsts, first_packet_id)``, and
+``arrivals_span(cycle, n)`` the next ``n`` calls at once, which the
+fleet kernel packs without building packets.  Synthetic generators
 draw in blocks of cycles; that layout is traffic stream
 :data:`TRAFFIC_STREAM` (see :mod:`repro.traffic.base`).  Injection rates
 are expressed in packets/input/cycle; the harness converts to the paper's

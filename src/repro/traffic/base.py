@@ -31,6 +31,11 @@ _NO_PORTS = np.zeros(0, dtype=np.int64)
 #: cycle has identifier ``first_packet_id + k``.
 Arrivals = Tuple[np.ndarray, np.ndarray, int]
 
+#: ``(calls, srcs, dsts, first_packet_id)`` of consecutive calls:
+#: ``calls[k]`` is packet ``k``'s call offset, and packets run in call
+#: order with identifiers from ``first_packet_id``.
+ArrivalSpan = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
 
 def as_packets(
     arrivals: Arrivals, num_flits: int, cycle: int
@@ -88,7 +93,7 @@ class SyntheticTraffic(ABC):
                     raise ValueError(f"active input {port} out of range")
             self.active_inputs = list(active_inputs)
         self._active = np.array(self.active_inputs, dtype=np.int64)
-        self._srcs = self._dsts = _NO_PORTS
+        self._when = self._srcs = self._dsts = _NO_PORTS
         self._bounds = [0] * (BLOCK_CYCLES + 1)
         self._next = BLOCK_CYCLES  # the first call draws a block
 
@@ -122,6 +127,7 @@ class SyntheticTraffic(ABC):
             when, srcs, dsts = when[keep], srcs[keep], dsts[keep]
         if dsts.size and dsts.max() >= self.num_ports:
             raise ValueError(f"destination {int(dsts.max())} out of range")
+        self._when = when
         self._srcs = srcs
         self._dsts = dsts
         self._bounds = np.searchsorted(
@@ -147,6 +153,30 @@ class SyntheticTraffic(ABC):
         return (
             self._srcs[lo:hi], self._dsts[lo:hi], self.factory.reserve(hi - lo)
         )
+
+    def arrivals_span(self, cycle: int, count: int) -> ArrivalSpan:
+        """The next ``count`` calls' arrivals at once: the same packets
+        and identifiers as ``count`` :meth:`arrivals` calls, read from
+        the same block state."""
+        parts = []
+        done = 0
+        while done < count:
+            offset = self._next
+            if offset == BLOCK_CYCLES:
+                self._refill()
+                offset = 0
+            take = min(count - done, BLOCK_CYCLES - offset)
+            self._next = offset + take
+            lo = self._bounds[offset]
+            hi = self._bounds[offset + take]
+            parts.append((
+                self._when[lo:hi] + (done - offset),
+                self._srcs[lo:hi],
+                self._dsts[lo:hi],
+            ))
+            done += take
+        calls, srcs, dsts = (np.concatenate(column) for column in zip(*parts))
+        return calls, srcs, dsts, self.factory.reserve(srcs.size)
 
     def packets_for_cycle(self, cycle: int) -> List[Packet]:
         """Packets generated during ``cycle`` (the TrafficSource protocol)."""

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Tuple, Union
 import numpy as np
 
 from repro.network.packet import Packet, PacketFactory
-from repro.traffic.base import Arrivals, as_packets
+from repro.traffic.base import Arrivals, ArrivalSpan, as_packets
 
 _NO_EVENTS = np.zeros((2, 0), dtype=np.int64)
 
@@ -52,6 +52,15 @@ class TraceTraffic:
         in trace order (the array form of :meth:`packets_for_cycle`)."""
         pair = self._arrays.get(cycle, _NO_EVENTS)
         return pair[0], pair[1], self.factory.reserve(pair.shape[1])
+
+    def arrivals_span(self, cycle: int, count: int) -> ArrivalSpan:
+        """Injections at cycles ``cycle .. cycle + count - 1`` at once:
+        the same packets and identifiers as ``count`` :meth:`arrivals`
+        calls."""
+        pairs = [self._arrays.get(cycle + k, _NO_EVENTS) for k in range(count)]
+        srcs, dsts = np.concatenate(pairs, axis=1)
+        calls = np.repeat(np.arange(count), [p.shape[1] for p in pairs])
+        return calls, srcs, dsts, self.factory.reserve(srcs.size)
 
     def packets_for_cycle(self, cycle: int) -> List[Packet]:
         """Packets replayed at ``cycle`` (the TrafficSource protocol)."""

@@ -11,15 +11,9 @@ import json
 
 import pytest
 
-pytest.importorskip("numpy")
-
 import repro.core.fleet as fleet_mod
 from repro.check.fuzz import generate_cases, run_case, run_fuzz
 from repro.check.reprofile import load_repro, replay_repro
-
-pytestmark = pytest.mark.skipif(
-    not fleet_mod.FLEET_AVAILABLE, reason="fleet fuzzing needs numpy"
-)
 
 
 def test_fleet_smoke_campaign_clean():

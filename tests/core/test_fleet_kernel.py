@@ -9,9 +9,8 @@ scheme × allocation × fault matrix lives in
 ``test_golden_equivalence.py``.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.config import (
     AllocationPolicy,
@@ -19,14 +18,13 @@ from repro.core.config import (
     HiRiseConfig,
 )
 from repro.core.fleet import (
-    FLEET_AVAILABLE,
     FleetKernel,
     FleetSimulation,
     LanePlan,
     fleet_supports,
-    pack_arrivals,
     plans_compatible,
     run_fleet_plans,
+    stage_arrivals,
     verify_fleet_parity,
 )
 from repro.core.hirise import HiRiseSwitch
@@ -68,7 +66,7 @@ def assert_identical(reference, lane):
 
 
 def test_fleet_supports_everything_but_qos():
-    assert fleet_supports(CONFIG) is FLEET_AVAILABLE
+    assert fleet_supports(CONFIG)
     qos = HiRiseConfig(
         radix=8, layers=2, channel_multiplicity=2,
         arbitration=ArbitrationScheme.CLRG,
@@ -272,24 +270,86 @@ def test_lane_parity_for_every_traffic_class(name):
     ) == []
 
 
-def test_pack_arrivals_builds_inject_packed_records():
-    draws = [
-        (np.array([4, 1]), np.array([0, 2]), 10),
-        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 7),
-        (np.array([3]), np.array([6]), 0),
-    ]
-    gid, recs, lane_flits, lane_packets = pack_arrivals(
-        8, draws, np.array([4, 2, 1]), cycle=9
+def successive_arrivals(traffic, cycle, count):
+    """``count`` successive ``arrivals`` calls in ``arrivals_span`` form."""
+    draws = [traffic.arrivals(cycle + k) for k in range(count)]
+    sizes = [len(srcs) for srcs, _, _ in draws]
+    firsts = [first for _, _, first in draws]
+    # Identifiers run on across calls, so one first id describes them.
+    assert firsts == (firsts[0] + np.cumsum([0] + sizes[:-1])).tolist()
+    return (
+        np.repeat(np.arange(count), sizes),
+        np.concatenate([srcs for srcs, _, _ in draws]),
+        np.concatenate([dsts for _, dsts, _ in draws]),
+        firsts[0],
     )
-    assert gid.tolist() == [4, 1, 19]
-    assert recs.tolist() == [[0, 4, 9, 10], [2, 4, 9, 11], [6, 1, 9, 0]]
-    assert lane_flits.tolist() == [8, 0, 1]
-    assert lane_packets.tolist() == [2, 0, 1]
-    empty = [(np.zeros(0, dtype=np.int64),) * 2 + (0,)] * 2
-    assert pack_arrivals(8, empty, np.array([4, 4]), cycle=0) is None
+
+
+@pytest.mark.parametrize("name", sorted(TRAFFIC_CLASSES))
+def test_arrivals_span_equals_successive_arrivals(name):
+    spanned = TRAFFIC_CLASSES[name](3)
+    stepped = TRAFFIC_CLASSES[name](3)
+    cycle = 0
+    # From a fresh source, then mid-block across the 64-cycle block
+    # boundary, then single calls, then across two boundaries ending on
+    # the third.
+    for count in (40, 50, 1, 1, 100):
+        got = spanned.arrivals_span(cycle, count)
+        want = successive_arrivals(stepped, cycle, count)
+        for got_column, want_column in zip(got[:3], want[:3]):
+            assert np.array_equal(got_column, want_column)
+        assert got[3] == want[3]
+        cycle += count
+    assert spanned.factory.packets_created == stepped.factory.packets_created
+
+
+def test_drain_then_resume_matches_scalar():
+    # Windows of 70 and 110 injecting cycles split staged blocks mid-way,
+    # and the second run's spans start mid-block after a drain.
+    seeds = (3, 8)
+    fleet = FleetSimulation(
+        CONFIG, [make_traffic(seed) for seed in seeds], warmup_cycles=20
+    )
+    first = fleet.run(50, drain=True)
+    second = fleet.run(90)
+    for seed, first_lane, second_lane in zip(seeds, first, second):
+        scalar = Simulation(
+            HiRiseSwitch(CONFIG), make_traffic(seed), warmup_cycles=20
+        )
+        assert_identical(scalar.run(50, drain=True), first_lane)
+        assert_identical(scalar.run(90), second_lane)
+
+
+def test_stage_arrivals_builds_inject_packed_records():
+    lanes = [
+        TraceTraffic([(9, 4, 0), (9, 1, 2), (10, 3, 3)], packet_flits=4),
+        TraceTraffic([], packet_flits=2),
+        TraceTraffic([(9, 3, 6)], packet_flits=1),
+    ]
+    lanes[0].factory.reserve(10)
+    lanes[1].factory.reserve(7)
+    gid, recs, bounds, lane_packets, lane_flits = stage_arrivals(
+        lanes, 8, cycle=9, count=2
+    )
+    # Call-major, then lane, then arrival order; the consumer stamps the
+    # created column.
+    assert bounds == [0, 3, 4]
+    assert gid.tolist() == [4, 1, 19, 3]
+    assert recs[:, [0, 1, 3]].tolist() == [
+        [0, 4, 10], [2, 4, 11], [6, 1, 0], [3, 4, 12],
+    ]
+    assert lane_packets.tolist() == [[2, 0, 1], [1, 0, 0]]
+    assert lane_flits.tolist() == [[8, 0, 1], [4, 0, 0]]
+    gid, _, bounds, lane_packets, _ = stage_arrivals(
+        [TraceTraffic([]), TraceTraffic([])], 8, cycle=0, count=3
+    )
+    assert gid.size == 0 and bounds == [0, 0, 0, 0]
+    assert lane_packets.tolist() == [[0, 0]] * 3
     with pytest.raises(ValueError, match="destination port 8"):
-        pack_arrivals(8, [(np.array([1]), np.array([8]), 0)],
-                      np.array([4]), cycle=0)
+        stage_arrivals([TraceTraffic([(0, 1, 8)])], 8, cycle=0, count=1)
+    wide = TraceTraffic([(0, 1, 2)])
+    wide.factory.reserve(2**31)
     with pytest.raises(OverflowError):
-        pack_arrivals(8, [(np.array([1]), np.array([2]), 2**31)],
-                      np.array([4]), cycle=0)
+        stage_arrivals([wide], 8, cycle=0, count=1)
+    with pytest.raises(OverflowError):
+        stage_arrivals([TraceTraffic([])], 8, cycle=2**31 - 1, count=2)

@@ -16,21 +16,16 @@ channel failures) is invisible to lane i.
 
 import pytest
 
-pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ArbitrationScheme, HiRiseConfig
-from repro.core.fleet import FLEET_AVAILABLE, FleetSimulation
+from repro.core.fleet import FleetSimulation
 from repro.core.hirise import HiRiseSwitch
 from repro.faults import FaultSchedule
 from repro.network.engine import Simulation
 from repro.traffic import UniformRandomTraffic
-
-pytestmark = pytest.mark.skipif(
-    not FLEET_AVAILABLE, reason="fleet kernel needs numpy"
-)
 
 CONFIG = HiRiseConfig(
     radix=8, layers=2, channel_multiplicity=2,

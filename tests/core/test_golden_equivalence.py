@@ -17,6 +17,7 @@ from repro.core.config import (
     ArbitrationScheme,
     HiRiseConfig,
 )
+from repro.core import fleet
 from repro.core.hirise import HiRiseSwitch
 from repro.core.reference import ReferenceHiRiseSwitch
 from repro.faults import (
@@ -172,13 +173,6 @@ def test_empty_schedule_bit_identical_to_no_schedule():
 # ----------------------------------------------------------------------
 # Fleet kernel: every golden-equivalence config, lane by lane
 # ----------------------------------------------------------------------
-fleet = pytest.importorskip("repro.core.fleet")
-pytestmark_fleet = pytest.mark.skipif(
-    not fleet.FLEET_AVAILABLE, reason="fleet kernel needs numpy"
-)
-
-
-@pytestmark_fleet
 @pytest.mark.parametrize("scheme", HIRISE_SCHEMES, ids=lambda s: s.value)
 @pytest.mark.parametrize(
     "allocation", list(AllocationPolicy), ids=lambda a: a.value
@@ -207,7 +201,6 @@ def test_fleet_lanes_bit_identical(scheme, allocation, failed_channels):
     ) == []
 
 
-@pytestmark_fleet
 @pytest.mark.parametrize("scheme", HIRISE_SCHEMES, ids=lambda s: s.value)
 def test_fleet_lanes_bit_identical_under_scripted_faults(scheme):
     config = HiRiseConfig(
@@ -223,7 +216,6 @@ def test_fleet_lanes_bit_identical_under_scripted_faults(scheme):
     ) == []
 
 
-@pytestmark_fleet
 def test_verify_parity_fleet_lanes_option():
     # The verify_parity entry point used by the fuzzer reaches the same
     # lane comparison through its fleet_lanes= option.
@@ -302,7 +294,6 @@ def test_perf_counters_compose_with_tracer_bit_identically():
     assert perf.ops["trace_drain"] > 0
 
 
-@pytestmark_fleet
 def test_perf_counters_do_not_perturb_fleet_lanes():
     from repro.obs.perf import PerfCounters
 

@@ -11,18 +11,10 @@ invariant attachments).
 import warnings
 
 import pytest
-
-pytest.importorskip("numpy")
-
 from repro.core.config import HiRiseConfig
-from repro.core.fleet import FLEET_AVAILABLE
 from repro.harness.measure import METRICS, SimulationMeasurement
 from repro.harness.parallel import replicate
 from repro.harness.sweep import parameter_grid, run_sweep
-
-pytestmark = pytest.mark.skipif(
-    not FLEET_AVAILABLE, reason="fleet routing needs numpy"
-)
 
 CONFIG = HiRiseConfig(radix=8, layers=2, channel_multiplicity=2)
 GRID = parameter_grid(load=[0.4, 0.8])
