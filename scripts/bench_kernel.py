@@ -6,6 +6,8 @@ random traffic, load 1.0) with traffic fully pre-staged outside the timed
 region, so the numbers isolate the arbitrate/transmit kernel itself:
 
 * the flat 2D Swizzle-Switch and the 3D folded switch baselines,
+* the input-queued VOQ crossbar under iSLIP-1 (MWM is too slow at
+  saturation for this bench),
 * Hi-Rise at 1, 2, and 4 channels (the headline 64-port, 4-layer config),
 * optionally (``--reference``) the frozen seed kernel on the headline
   config, giving the like-for-like speedup of the fast-path kernel.
@@ -64,7 +66,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.config import HiRiseConfig  # noqa: E402
 from repro.core.hirise import HiRiseSwitch  # noqa: E402
 from repro.core.reference import ReferenceHiRiseSwitch  # noqa: E402
-from repro.switches import FoldedSwitch3D, SwizzleSwitch2D  # noqa: E402
+from repro.switches import (  # noqa: E402
+    FoldedSwitch3D,
+    SwizzleSwitch2D,
+    VOQSwitch,
+)
 from repro.traffic.uniform import UniformRandomTraffic  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_kernel.json"
@@ -121,6 +127,9 @@ def make_benchmarks():
     return {
         "swizzle2d_64": lambda: SwizzleSwitch2D(RADIX),
         "folded3d_64x4": lambda: FoldedSwitch3D(RADIX, LAYERS),
+        "islip_64": lambda: VOQSwitch(
+            HiRiseConfig(radix=RADIX, layers=LAYERS, arbitration="islip")
+        ),
         "hirise_64x4_c1": lambda: HiRiseSwitch(
             HiRiseConfig(radix=RADIX, layers=LAYERS, channel_multiplicity=1)
         ),

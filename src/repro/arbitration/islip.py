@@ -26,7 +26,7 @@ differential parity test pins that equivalence against
 """
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arbitration.matching import Matching, WeightMatrix
 
@@ -72,10 +72,8 @@ class ISLIPArbiter:
         Returns input -> output; commits pointer updates for matches
         made in iteration 1.
 
-        The request matrix is read once: each output keeps an ascending
-        list of its requesters, and "first at or after the pointer" is
-        a :func:`bisect.bisect_left` into it followed by a cyclic walk
-        past inputs already matched in an earlier iteration.
+        The request matrix is read once into per-output requester lists
+        and matched by :meth:`match_requests`.
         """
         n = self.num_ports
         if len(weights) != n or any(len(row) != n for row in weights):
@@ -87,6 +85,27 @@ class ISLIPArbiter:
                 for out, weight in enumerate(row):
                     if weight > 0:
                         requesters[out].append(inp)
+        return self.match_requests(requesters, observer)
+
+    def match_requests(
+        self,
+        requesters: Sequence[List[int]],
+        observer: Optional[RoundObserver] = None,
+    ) -> Matching:
+        """Compute a matching from per-output requester lists.
+
+        ``requesters[j]`` is the ascending list of inputs requesting
+        output ``j``.  This is the one matching body: :meth:`match`
+        derives the lists from a weight matrix, and
+        :class:`repro.switches.VOQSwitch` builds them straight from its
+        queue matrices.  "First at or after the pointer" is a
+        :func:`bisect.bisect_left` into an output's list followed by a
+        cyclic walk past inputs already matched in an earlier
+        iteration.
+        """
+        n = self.num_ports
+        if len(requesters) != n:
+            raise ValueError(f"requesters must list {n} outputs")
 
         grant_pointers = self.grant_pointers
         accept_pointers = self.accept_pointers

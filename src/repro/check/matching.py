@@ -16,14 +16,18 @@ of :class:`repro.switches.VOQSwitch` after every cycle:
   weight of a port that cannot transmit), and no grant to an input or
   output whose tail moved the same cycle (the single-cycle
   arbitrate-or-transmit contract);
-* **voq_occupancy** — every stage's occupancy row equals its actual
-  VOQ lengths (the weights the schedulers saw were real).
+* **voq_occupancy** — every stage's incremental queue matrices agree
+  with its actual VOQ deques: the occupancy row equals the VOQ lengths,
+  the non-empty set is exactly the outputs with a non-empty VOQ, and
+  the head-of-line row holds each of those VOQs' head-flit creation
+  cycle (the weights and requests the schedulers saw were real).
 
 Attached via the same ``invariants=`` constructor hook; checked runs
 stay bit-identical to unchecked runs.  :func:`checker_for` picks the
 right checker class for a config's arbitration scheme.
 """
 
+from itertools import compress
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.check.invariants import CHECK_CODES, InvariantViolation
@@ -196,22 +200,72 @@ class MatchingInvariantChecker:
                 )
         self._prev_connections = dict(connections)
 
-        # 4. VOQ occupancy rows match the actual queue lengths (whole
-        # rows compared at once; the first mismatch is located only
-        # when a row differs).
+        # 4. The stages' queue matrices match the deques, every stage
+        # every cycle.  The test is exact without a Python-level walk of
+        # all N VOQs: each of the k outputs in the non-empty set has a
+        # non-empty VOQ whose counter equals its length and whose head
+        # flit carries the head-of-line cycle, and exactly k VOQs are
+        # non-empty and N - k counters zero — so every other VOQ is
+        # empty with a zero counter.  A failing stage is then walked to
+        # locate its first mismatch.
         for stage in switch.stages:
-            lengths = list(map(len, stage.voqs))
-            if stage.occupancy_row == lengths:
+            voqs = stage.voqs
+            row = stage.occupancy_row
+            nonempty = stage.nonempty
+            busy = len(nonempty)
+            if (
+                len(list(filter(None, voqs))) != busy
+                or row.count(0) != len(row) - busy
+            ):
+                self._locate_voq_mismatch(switch, stage, cycle)
+            if not busy:
                 continue
-            for output, count in enumerate(stage.occupancy_row):
-                actual = lengths[output]
-                if count != actual:
-                    self._fail(
-                        switch, "voq_occupancy", cycle,
-                        f"stage {stage.input_id} VOQ[{output}] counter "
-                        f"{count} != length {actual}",
-                        (stage.input_id, output),
-                    )
+            hol_row = stage.hol_row
+            outputs = range(len(voqs))
+            for output in nonempty:
+                if not (
+                    output in outputs
+                    and 0 < row[output] == len(voqs[output])
+                    and hol_row[output] == voqs[output][0].created_cycle
+                ):
+                    self._locate_voq_mismatch(switch, stage, cycle)
+
+    def _locate_voq_mismatch(self, switch, stage, cycle: int) -> None:
+        """Fail on the first disagreement of a stage's matrices.
+
+        Called only when the fast test above failed, which it does only
+        if one of these three walks finds a mismatch.
+        """
+        inp = stage.input_id
+        lengths = list(map(len, stage.voqs))
+        for output, count in enumerate(stage.occupancy_row):
+            if count != lengths[output]:
+                self._fail(
+                    switch, "voq_occupancy", cycle,
+                    f"stage {inp} VOQ[{output}] counter {count} != "
+                    f"length {lengths[output]}",
+                    (inp, output),
+                )
+        actual = set(compress(range(len(lengths)), lengths))
+        for output in sorted(stage.nonempty ^ actual):
+            if output in stage.nonempty:
+                state = "phantom in"
+            else:
+                state = "missing from"
+            self._fail(
+                switch, "voq_occupancy", cycle,
+                f"stage {inp} output {output} {state} the non-empty set",
+                (inp, output),
+            )
+        for output in sorted(actual):
+            head_cycle = stage.voqs[output][0].created_cycle
+            if stage.hol_row[output] != head_cycle:
+                self._fail(
+                    switch, "voq_occupancy", cycle,
+                    f"stage {inp} VOQ[{output}] head-of-line cycle "
+                    f"{stage.hol_row[output]} != head flit's {head_cycle}",
+                    (inp, output),
+                )
 
     # ------------------------------------------------------------------
     # Reporting

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -60,6 +58,10 @@ def t_interval(
     n = len(observations)
     if n < 2:
         raise ValueError("need at least two observations")
+    # Imported here, not at module level: scipy.stats costs over a
+    # second to import and nothing else in the package needs it.
+    from scipy import stats as scipy_stats
+
     mean = sum(observations) / n
     variance = sum((x - mean) ** 2 for x in observations) / (n - 1)
     critical = float(scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1))

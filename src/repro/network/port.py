@@ -56,21 +56,18 @@ class SourceQueue:
         self._packets.append(packet)
         self._pending_flits += packet.num_flits
 
-    def front(self) -> Optional[Flit]:
-        """The next flit to enter a VC, or None when the queue is empty.
+    def take(self) -> Optional[Flit]:
+        """Remove and return the next flit, or None when the queue is empty.
 
-        Expands the next packet on demand; repeated calls are O(1).
+        Expands the next packet into flits on demand.
         """
-        if not self._flits:
+        flits = self._flits
+        if not flits:
             if not self._packets:
                 return None
-            self._flits.extend(self._packets.popleft().to_flits())
-        return self._flits[0]
-
-    def popleft(self) -> Flit:
-        """Remove and return the front flit (callers use front() first)."""
+            flits.extend(self._packets.popleft().to_flits())
         self._pending_flits -= 1
-        return self._flits.popleft()
+        return flits.popleft()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.config import HiRiseConfig
 from repro.physical.geometry import (
@@ -121,6 +120,18 @@ def _delay_design_row(geometry: SwitchGeometry) -> List[float]:
     ]
 
 
+def _nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Non-negative least-squares solution of ``matrix @ x = target``.
+
+    scipy is imported on first use rather than with this module, so
+    importing the package does not pay for it.
+    """
+    from scipy.optimize import nnls
+
+    solution, _residual = nnls(matrix, target)
+    return solution
+
+
 @lru_cache(maxsize=1)
 def calibrated_delay() -> DelayConstants:
     """Fit the cycle-time constants to the five published frequencies."""
@@ -129,7 +140,7 @@ def calibrated_delay() -> DelayConstants:
     target = np.array(
         [1.0 / PAPER_FREQUENCY_GHZ[name] for name in geometries]
     )
-    solution, _residual = nnls(matrix, target)
+    solution = _nnls(matrix, target)
     clrg_extra = (
         1.0 / PAPER_FREQUENCY_GHZ["hirise_c4_clrg"]
         - 1.0 / PAPER_FREQUENCY_GHZ["hirise_c4"]
@@ -143,7 +154,7 @@ def calibrated_energy() -> EnergyConstants:
     geometries = _anchor_geometries()
     matrix = np.array([_delay_design_row(g) for g in geometries.values()])
     target = np.array([PAPER_ENERGY_PJ[name] for name in geometries])
-    solution, _residual = nnls(matrix, target)
+    solution = _nnls(matrix, target)
     clrg_extra = (
         PAPER_ENERGY_PJ["hirise_c4_clrg"] - PAPER_ENERGY_PJ["hirise_c4"]
     )
@@ -161,5 +172,5 @@ def calibrated_area() -> AreaConstants:
         ]
     )
     target = np.array([PAPER_AREA_MM2[name] for name in geometries])
-    solution, _residual = nnls(matrix, target)
+    solution = _nnls(matrix, target)
     return AreaConstants(*solution)

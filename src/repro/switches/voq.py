@@ -21,11 +21,18 @@ Cycle order within :meth:`step` (mirrors ``SwizzleSwitch2D``):
    scheduling;
 2. *transmit* — every established connection moves one flit from its
    VOQ to its output; tails release both endpoints;
-3. *refill* — each unstuck input moves up to one flit from its source
-   queue into the VOQ of that flit's destination;
+3. *refill* — each unstuck input with a non-empty source queue moves
+   one flit from it into the VOQ of that flit's destination;
 4. *schedule* — the scheduler matches idle inputs to free outputs over
    the head-of-line-age weight matrix; every matched pair locks a
    connection that starts streaming next cycle.
+
+The scheduler's input is never rebuilt by scanning the N x N deques.
+Each :class:`VOQStage` keeps incremental rows — VOQ lengths, the head
+flit's creation cycle per VOQ, and the set of non-empty outputs — that
+:meth:`VOQStage.refill` and :meth:`VOQStage.pop` update where a flit
+moves, and :meth:`VOQSwitch._requests` forms the weight rows and the
+per-output requester lists from the non-empty sets alone.
 
 Stuck-input faults freeze the whole input: no refill (so the VOQ
 occupancy the scheduler could see stops growing), a zeroed row in the
@@ -44,7 +51,7 @@ plus the VOQ-specific ``sched_grant``/``sched_accept`` rounds),
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import time
 
@@ -64,32 +71,56 @@ class VOQStage:
 
     Fans the input's unbounded :class:`SourceQueue` into one flit FIFO
     per output at one flit per cycle (the network-interface bandwidth),
-    and exposes the per-output occupancy row the schedulers weigh.
+    and keeps this input's rows of the scheduler's queue matrices next
+    to the FIFOs.  The rows change only where a flit moves — at most one
+    arrival (:meth:`refill`) and one departure (:meth:`pop`) per cycle —
+    so the switch never rescans the deques to build its weights.
     """
 
-    __slots__ = ("input_id", "source", "voqs", "occupancy_row")
+    __slots__ = ("input_id", "source", "voqs", "occupancy_row", "hol_row",
+                 "nonempty")
 
     def __init__(self, input_id: int, num_outputs: int) -> None:
         self.input_id = input_id
         self.source = SourceQueue()
         self.voqs: List[Deque[Flit]] = [deque() for _ in range(num_outputs)]
-        #: Per-output VOQ length in flits; aliased by the switch into
-        #: the scheduler's weight matrix (updated in place).
+        #: Per-output VOQ length in flits (the tutorial's Q matrix row).
         self.occupancy_row: List[int] = [0] * num_outputs
+        #: Per-output creation cycle of the VOQ's head flit.  Defined
+        #: only for the outputs in :attr:`nonempty`; an emptied VOQ
+        #: keeps its last value, which nothing reads.
+        self.hol_row: List[int] = [0] * num_outputs
+        #: Outputs whose VOQ holds at least one flit.
+        self.nonempty: Set[int] = set()
 
-    def refill(self) -> None:
-        """Move up to one flit from the source queue into its VOQ."""
-        flit = self.source.front()
+    def refill(self) -> bool:
+        """Move up to one flit from the source queue into its VOQ.
+
+        Returns whether the source queue still holds flits afterwards.
+        """
+        source = self.source
+        flit = source.take()
         if flit is None:
-            return
-        self.source.popleft()
-        self.voqs[flit.dst].append(flit)
-        self.occupancy_row[flit.dst] += 1
+            return False
+        dst = flit.dst
+        queue = self.voqs[dst]
+        if not queue:
+            self.hol_row[dst] = flit.created_cycle
+            self.nonempty.add(dst)
+        queue.append(flit)
+        self.occupancy_row[dst] += 1
+        return len(source) > 0
 
     def pop(self, output: int) -> Flit:
         """Dequeue the front flit of the VOQ toward ``output``."""
         self.occupancy_row[output] -= 1
-        return self.voqs[output].popleft()
+        queue = self.voqs[output]
+        flit = queue.popleft()
+        if queue:
+            self.hol_row[output] = queue[0].created_cycle
+        else:
+            self.nonempty.discard(output)
+        return flit
 
     def total_occupancy(self) -> int:
         """Flits resident in this stage (source queue + all VOQs)."""
@@ -151,9 +182,11 @@ class VOQSwitch(SwitchModel):
         self._fault_cursor = (
             FaultCursor(faults) if faults is not None else None
         )
-        # Weight matrix handed to the scheduler: rows alias the stages'
-        # occupancy rows except when masking requires a scratch copy.
+        # The weight row of every input without a request this cycle
+        # (busy, stuck, cooling, empty, or all its outputs blocked).
         self._zero_row = [0] * radix
+        # Inputs whose source queue holds flits: only these refill.
+        self._backlogged: Set[int] = set()
 
         self._tracer = tracer
         if tracer is not None:
@@ -175,6 +208,7 @@ class VOQSwitch(SwitchModel):
         if not 0 <= packet.dst < self.num_ports:
             raise ValueError(f"destination port {packet.dst} out of range")
         self.stages[src].source.append_packet(packet)
+        self._backlogged.add(src)
         if self._tracer is not None:
             self._tracer.inject(
                 packet.created_cycle, src, packet.dst,
@@ -220,21 +254,20 @@ class VOQSwitch(SwitchModel):
                 apply_fault_events(self, due)
         if perf is not None:
             t1 = time.perf_counter_ns()
-        ejected = self._transmit(cycle)
+        ejected, cooling_inputs, cooling_outputs = self._transmit(cycle)
         if perf is not None:
             t2 = time.perf_counter_ns()
-        stuck = self.stuck_inputs
-        for stage in self.stages:
-            if stage.input_id not in stuck:
-                stage.refill()
+        backlogged = self._backlogged
+        if backlogged:
+            stages = self.stages
+            stuck = self.stuck_inputs
+            drained = []
+            for inp in backlogged:
+                if inp not in stuck and not stages[inp].refill():
+                    drained.append(inp)
+            backlogged.difference_update(drained)
         if perf is not None:
             t3 = time.perf_counter_ns()
-        cooling_inputs = set()
-        cooling_outputs = set()
-        for flit in ejected:
-            if flit.is_tail:
-                cooling_inputs.add(flit.src)
-                cooling_outputs.add(flit.dst)
         granted = self._schedule(cycle, cooling_inputs, cooling_outputs)
         if perf is not None:
             t4 = time.perf_counter_ns()
@@ -245,9 +278,15 @@ class VOQSwitch(SwitchModel):
             self._invariants.after_step(self, cycle, ejected)
         return ejected
 
-    def _transmit(self, cycle: int) -> List[Flit]:
+    def _transmit(self, cycle: int) -> Tuple[List[Flit], Set[int], Set[int]]:
+        """Move one flit per connection; tails release their endpoints.
+
+        Returns the ejected flits and the inputs and outputs whose tail
+        moved this cycle (they cool: no grant to them this cycle).
+        """
         ejected: List[Flit] = []
-        released: List[int] = []
+        released: Set[int] = set()
+        released_outputs: Set[int] = set()
         tracer = self._tracer
         for inp, (resource, output) in self.connections.items():
             stage = self.stages[inp]
@@ -259,7 +298,8 @@ class VOQSwitch(SwitchModel):
             flit.ejected_cycle = cycle
             ejected.append(flit)
             if flit.is_tail:
-                released.append(inp)
+                released.add(inp)
+                released_outputs.add(output)
                 self.output_owner[output] = None
                 if tracer is not None:
                     tracer.emit(EJECT, flit.src, flit.dst, flit.seq, 1)
@@ -271,12 +311,17 @@ class VOQSwitch(SwitchModel):
                 tracer.emit(EJECT, flit.src, flit.dst, flit.seq, 0)
         for inp in released:
             del self.connections[inp]
-        return ejected
+        return ejected, released, released_outputs
 
-    def _schedule(self, cycle, cooling_inputs, cooling_outputs) -> int:
-        """Match idle inputs to free outputs over head-of-line ages.
+    def _requests(self, cycle, cooling_inputs, cooling_outputs):
+        """This cycle's scheduler input, or ``None`` if nothing requests.
 
-        Returns the number of connections granted.
+        Returns ``(weights, requesters)``: the N x N weight matrix and,
+        per output, the ascending list of inputs requesting it.  Both
+        are formed in one pass over each idle input's non-empty outputs
+        (the stage's incremental ``nonempty`` set and ``hol_row``), so
+        the cost follows the requests, not N x N deques.  Every input
+        without a request shares one all-zero row.
 
         The weight of (input, output) is the age of the VOQ's head flit
         plus one — the oldest-cell-first weighting, which MWM turns into
@@ -285,38 +330,55 @@ class VOQSwitch(SwitchModel):
         output each input's service is its arrivals minus a common queue
         level: a small mean carrying full arrival noise, i.e. unfair at
         any horizon.  Age weights approximate FCFS across inputs
-        instead.  iSLIP only reads weights as request indicators, so for
-        it the two weightings are identical.
+        instead.  iSLIP only reads requests, so for it the two
+        weightings are identical.
         """
         radix = self.radix
         connections = self.connections
         output_owner = self.output_owner
         stuck = self.stuck_inputs
-        blocked = [
-            output_owner[out] is not None or out in cooling_outputs
-            for out in range(radix)
-        ]
-        weights: List[List[int]] = []
+        zero_row = self._zero_row
+        weights: List[List[int]] = [zero_row] * radix
+        requesters: List[List[int]] = [[] for _ in range(radix)]
         any_request = False
-        for inp in range(radix):
-            if (
-                inp in connections
-                or inp in stuck
-                or inp in cooling_inputs
-            ):
-                weights.append(self._zero_row)
+        for stage in self.stages:
+            nonempty = stage.nonempty
+            if not nonempty:
                 continue
-            voqs = self.stages[inp].voqs
-            row = [
-                0 if blocked[out] or not voqs[out]
-                else cycle - voqs[out][0].created_cycle + 1
-                for out in range(radix)
-            ]
-            if not any_request and any(row):
+            inp = stage.input_id
+            if inp in connections or inp in stuck or inp in cooling_inputs:
+                continue
+            hol_row = stage.hol_row
+            row = None
+            for out in nonempty:
+                if output_owner[out] is not None or out in cooling_outputs:
+                    continue
+                if row is None:
+                    row = zero_row.copy()
+                row[out] = cycle - hol_row[out] + 1
+                requesters[out].append(inp)
+            if row is not None:
+                weights[inp] = row
                 any_request = True
-            weights.append(row)
         if not any_request:
+            return None
+        return weights, requesters
+
+    def _schedule(self, cycle, cooling_inputs, cooling_outputs) -> int:
+        """Match idle inputs to free outputs over head-of-line ages.
+
+        Returns the number of connections granted.  iSLIP takes the
+        requester lists of :meth:`_requests` directly
+        (:meth:`ISLIPArbiter.match_requests`); MWM, and any other
+        matcher with the ``match(weights)`` interface, reads the weight
+        rows.
+        """
+        request = self._requests(cycle, cooling_inputs, cooling_outputs)
+        if request is None:
             return 0
+        weights, requesters = request
+        connections = self.connections
+        output_owner = self.output_owner
 
         tracer = self._tracer
         observer = None
@@ -332,8 +394,12 @@ class VOQSwitch(SwitchModel):
                         weight = weights[port][partner]
                     emit(kind, iteration, port, partner, weight)
 
-        matching = self.scheduler.match(weights, observer=observer)
-        if tracer is not None and isinstance(self.scheduler, MWMOracle):
+        scheduler = self.scheduler
+        if isinstance(scheduler, ISLIPArbiter):
+            matching = scheduler.match_requests(requesters, observer)
+        else:
+            matching = scheduler.match(weights, observer=observer)
+        if tracer is not None and isinstance(scheduler, MWMOracle):
             # MWM has no rounds: report the final matching as a single
             # iteration-0 grant+accept so audits see one schema.
             for inp, out in matching.items():

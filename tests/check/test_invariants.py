@@ -224,6 +224,59 @@ class TestCorruptedKernels:
         assert excinfo.value.check == "voq_occupancy"
         assert excinfo.value.resources == (3, 2)
 
+    @staticmethod
+    def _checked_voq_switch(cycles):
+        """An iSLIP switch stepped by hand (no injection after ``cycles``)."""
+        from repro.check.matching import MatchingInvariantChecker
+        from repro.switches import make_switch
+
+        switch = make_switch(
+            small_config(arbitration=ArbitrationScheme.ISLIP),
+            invariants=MatchingInvariantChecker(),
+        )
+        traffic = UniformRandomTraffic(8, 0.2, seed=3)
+        for cycle in range(cycles):
+            for packet in traffic.packets_for_cycle(cycle):
+                switch.inject(packet)
+            switch.step(cycle)
+        return switch
+
+    def test_stale_hol_cycle_is_detected(self):
+        switch = self._checked_voq_switch(10)
+        # A queued VOQ its input is not streaming from: the next step
+        # neither pops it nor (being non-empty) rewrites its HOL cycle.
+        stage, output = next(
+            (stage, output)
+            for stage in switch.stages
+            for output in sorted(stage.nonempty)
+            if switch.connections.get(stage.input_id, (None, None))[1]
+            != output
+        )
+        stage.hol_row[output] -= 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            switch.step(10)
+        assert excinfo.value.check == "voq_occupancy"
+        assert excinfo.value.resources == (stage.input_id, output)
+        assert "head-of-line" in str(excinfo.value)
+
+    def test_phantom_nonempty_output_is_detected(self):
+        switch = self._checked_voq_switch(10)
+        # An empty VOQ of an input with nothing left to refill: only the
+        # corruption can make it look non-empty.
+        stage, output = next(
+            (stage, output)
+            for stage in switch.stages
+            if not stage.source
+            for output in range(8)
+            if not stage.voqs[output]
+        )
+        stage.nonempty.add(output)
+        with pytest.raises(InvariantViolation) as excinfo:
+            switch.step(10)
+        assert excinfo.value.check == "voq_occupancy"
+        assert excinfo.value.resources == (stage.input_id, output)
+        assert "phantom" in str(excinfo.value)
+
     @pytest.mark.parametrize("kernel_cls", KERNELS)
     def test_broken_lrg_order_is_detected(self, kernel_cls):
         checker = InvariantChecker()

@@ -9,7 +9,10 @@ codebase grows.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,23 @@ def test_top_level_api_surface():
         assert hasattr(repro, name)
     assert repro.FLIT_BITS == 128
     assert repro.PACKET_FLITS == 4
+
+
+def test_import_leaves_scipy_unloaded():
+    """``import repro`` does not import scipy; its two users do, lazily.
+
+    scipy.stats alone costs over a second to import, which every CLI
+    call would otherwise pay.  Run in a fresh interpreter: this test
+    process has imported everything already.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    assert loaded == "[]"
